@@ -33,7 +33,10 @@ __all__ = [
     "crater_homography",
     "crater_visible",
     "look_at_pose",
+    "pose_above",
     "quaternion_to_matrix",
+    "read_key_values",
+    "CAMERA_KEYS",
     "parse_camera_file",
 ]
 
@@ -181,6 +184,25 @@ def look_at_pose(r_m: np.ndarray, target: np.ndarray, up_hint: np.ndarray) -> Ca
     return CameraPose(t_mc=np.vstack([x, y, z]), r_m=r_m)
 
 
+def pose_above(
+    u: np.ndarray, altitude: float, radius: float, azimuth: float,
+    tilt: float = 0.0, tilt_azimuth: float = 0.0,
+) -> CameraPose:
+    """Camera ``altitude`` above unit sub-point ``u``; a non-zero ``tilt`` leans the
+    boresight from nadir.  Azimuths (rad) turn from ``e1 = helper x u`` to ``u x e1``."""
+    r_cam = (radius + altitude) * u
+    helper = np.array([0.0, 0.0, 1.0]) if abs(u[2]) < 0.95 else np.array([1.0, 0.0, 0.0])
+    e1 = np.cross(helper, u)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(u, e1)
+    up = np.cos(azimuth) * e1 + np.sin(azimuth) * e2
+    if tilt == 0.0:
+        return look_at_pose(r_cam, np.zeros(3), up_hint=up)
+    t_dir = np.cos(tilt_azimuth) * e1 + np.sin(tilt_azimuth) * e2
+    boresight = -np.cos(tilt) * u + np.sin(tilt) * t_dir
+    return look_at_pose(r_cam, r_cam + boresight * (altitude + radius), up_hint=up)
+
+
 def quaternion_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrix from a scalar-last unit quaternion [qx, qy, qz, qw]."""
     q = np.asarray(q, dtype=float).reshape(4)
@@ -197,39 +219,42 @@ def quaternion_to_matrix(q: np.ndarray) -> np.ndarray:
     )
 
 
-_CAMERA_KEYS = ("dx", "dy", "skew", "up", "vp", "rows", "cols")
+def read_key_values(path: str | Path, parsers: dict, required: tuple[str, ...]) -> dict:
+    """``{key: parsers[key](value)}`` of a key-value text file.
 
-
-def parse_camera_file(path: str | Path) -> Intrinsics:
-    """Read a ``key value`` camera definition file.
-
-    Required keys: dx, dy, skew, up, vp, rows, cols.  Lines starting with
-    '#' are comments; '=' or whitespace separates key and value.
+    The camera file and the Monte Carlo config: one ``key value`` or
+    ``key=value`` per line, the value being the rest of the line; '#' starts
+    a comment.  A repeated key keeps its last value.  An unknown key, a line
+    without a value or a value its parser rejects raises ``SchemaError`` at
+    ``file:line``; so does a missing ``required`` key, naming the file.
     """
-    values: dict[str, float] = {}
+    values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.replace("=", " ").split()
+        parts = line.replace("=", " ", 1).split(None, 1)
         if len(parts) != 2:
             raise SchemaError(f"{path}:{lineno}: expected 'key value', got {raw!r}")
         key, val = parts
-        if key not in _CAMERA_KEYS:
-            raise SchemaError(f"{path}:{lineno}: unknown camera key {key!r}")
+        if key not in parsers:
+            raise SchemaError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = float(val)
+            values[key] = parsers[key](val)
         except ValueError as exc:
-            raise SchemaError(f"{path}:{lineno}: bad number {val!r}") from exc
-    missing = [k for k in _CAMERA_KEYS if k not in values]
+            raise SchemaError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
+    missing = [k for k in required if k not in values]
     if missing:
-        raise SchemaError(f"{path}: missing camera keys {missing}")
-    return Intrinsics(
-        dx=values["dx"],
-        dy=values["dy"],
-        skew=values["skew"],
-        up=values["up"],
-        vp=values["vp"],
-        rows=int(values["rows"]),
-        cols=int(values["cols"]),
-    )
+        raise SchemaError(f"{path}: missing key(s) {', '.join(missing)}")
+    return values
+
+
+CAMERA_KEYS = ("dx", "dy", "skew", "up", "vp", "rows", "cols")
+
+
+def parse_camera_file(path: str | Path) -> Intrinsics:
+    """Intrinsics from a :func:`read_key_values` file that sets every field:
+    focal lengths ``dx``, ``dy``, ``skew`` and principal point ``up``, ``vp``
+    in pixels, image ``rows`` and ``cols`` (truncated to integers)."""
+    values = read_key_values(path, dict.fromkeys(CAMERA_KEYS, float), CAMERA_KEYS)
+    return Intrinsics(**(values | {"rows": int(values["rows"]), "cols": int(values["cols"])}))

@@ -14,7 +14,14 @@ from pathlib import Path
 import numpy as np
 
 from . import LUNAR_RADIUS_KM
-from .camera import CameraPose, Intrinsics, parse_camera_file, quaternion_to_matrix
+from .camera import (
+    CAMERA_KEYS,
+    CameraPose,
+    parse_camera_file,
+    pose_above,
+    quaternion_to_matrix,
+    read_key_values,
+)
 from .conic2d import EllipseParams, ellipse_to_conic
 from .crater3d import crater_center
 from .errors import CraterIdError
@@ -22,6 +29,7 @@ from .index import (
     GLOBAL_SCALE,
     LOCAL_SCALE,
     REGIONAL_SCALE,
+    CATALOG_HEADER,
     IndexScale,
     build_index,
     load_catalog,
@@ -30,13 +38,13 @@ from .index import (
 )
 from .metrics import GateConfig, gaussian_angle, jaccard_distance
 from .pipeline import (
+    DETECTIONS_HEADER,
     IdentifyRequest,
     MonteCarloConfig,
     cells_to_jsonl,
     format_cells,
     identify,
     load_detections,
-    look_at_pose,
     monte_carlo,
     save_detections,
     synth_scene,
@@ -49,36 +57,45 @@ EXIT_INSUFFICIENT = 3
 
 _PRESETS = {"local": LOCAL_SCALE, "regional": REGIONAL_SCALE, "global": GLOBAL_SCALE}
 
-
-def _read_config(path: str) -> dict[str, str]:
-    """Flat key-value config file ('#' comments, 'key value' or 'key=value')."""
-    out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.replace("=", " ", 1).split(None, 1)
-        if len(parts) != 2:
-            raise CraterIdError(f"{path}: bad config line {raw!r}")
-        out[parts[0]] = parts[1].strip()
-    return out
+_CATALOG_HELP = "catalogue CSV: " + ",".join(CATALOG_HEADER)
+_DETECTIONS_HELP = "rim fits CSV: " + ",".join(DETECTIONS_HEADER)
+_CAMERA_HELP = "camera file, 'key value' lines: " + ", ".join(CAMERA_KEYS)
 
 
 def _parse_attitude(spec: str) -> np.ndarray:
     """Attitude from 'qx,qy,qz,qw' (scalar-last) or 9 row-major numbers,
     either inline or in a file."""
-    text = spec
-    if Path(spec).exists():
-        text = Path(spec).read_text()
-    vals = [float(v) for v in text.replace(",", " ").split()]
-    if len(vals) == 4:
-        return quaternion_to_matrix(np.array(vals))
-    if len(vals) == 9:
-        t = np.array(vals).reshape(3, 3)
-        if not np.allclose(t @ t.T, np.eye(3), atol=1e-6):
-            raise CraterIdError("attitude matrix is not orthonormal")
-        return t
+    text = Path(spec).read_text() if Path(spec).exists() else spec
+    try:
+        vals = [float(v) for v in text.replace(",", " ").split()]
+        if len(vals) in (4, 9):
+            t = quaternion_to_matrix(vals) if len(vals) == 4 else np.reshape(vals, (3, 3))
+            return CameraPose(t_mc=t, r_m=np.zeros(3)).t_mc  # CameraPose checks the rotation
+    except ValueError as exc:
+        raise CraterIdError(f"bad attitude {spec!r}: {exc}") from exc
     raise CraterIdError("attitude needs 4 (quaternion) or 9 (matrix) numbers")
+
+
+def _load_catalog(path: str) -> list:
+    """Catalogue records; its skipped rows become warnings on stderr."""
+    records, problems = load_catalog(path)
+    for p in problems:
+        print(f"warning: {path}: {p}", file=sys.stderr)
+    return records
+
+
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+# Monte Carlo config keys, named as the MonteCarloConfig fields they set.
+_MC_KEYS = dict(altitude_km=float, trials=int, noise_px=_floats, off_nadir_deg=_floats,
+                seed=int, n_candidates=int, max_triads=int, gate_threshold=float)
+_MC_REQUIRED = ("altitude_km", "trials", "noise_px")
+_CONFIG_HELP = (
+    f"config, 'key value' lines: {', '.join(_MC_KEYS)} (lists comma-separated); "
+    f"required: {', '.join(_MC_REQUIRED)}"
+)
 
 
 def _scale_from_args(args) -> IndexScale:
@@ -119,9 +136,7 @@ def _scale_from_args(args) -> IndexScale:
 
 
 def _cmd_build_index(args) -> int:
-    records, problems = load_catalog(args.catalog)
-    for p in problems:
-        print(f"warning: {args.catalog}: {p}", file=sys.stderr)
+    records = _load_catalog(args.catalog)
     scale = _scale_from_args(args)
     index = build_index(records, scale, radius=args.radius)
     save_index(index, args.out)
@@ -137,9 +152,7 @@ def _cmd_identify(args) -> int:
     intr = parse_camera_file(args.camera)
     attitude = _parse_attitude(args.attitude)
     indexes = [load_index(p) for p in args.index]
-    catalog, problems = load_catalog(args.catalog)
-    for p in problems:
-        print(f"warning: {args.catalog}: {p}", file=sys.stderr)
+    catalog = _load_catalog(args.catalog)
     req = IdentifyRequest(
         detections=detections,
         intrinsics=intr,
@@ -171,24 +184,11 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    catalog, problems = load_catalog(args.catalog)
-    for p in problems:
-        print(f"warning: {args.catalog}: {p}", file=sys.stderr)
+    catalog = _load_catalog(args.catalog)
     intr = parse_camera_file(args.camera)
     sub = crater_center(np.deg2rad(args.lat), np.deg2rad(args.lon), 1.0)
-    r_cam = (args.radius + args.altitude) * sub
-    helper = np.array([0.0, 0.0, 1.0]) if abs(sub[2]) < 0.95 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(helper, sub)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(sub, e1)
     az = np.deg2rad(args.azimuth)
-    up = np.cos(az) * e1 + np.sin(az) * e2
-    if args.off_nadir == 0.0:
-        pose = look_at_pose(r_cam, np.zeros(3), up_hint=up)
-    else:
-        tilt = np.deg2rad(args.off_nadir)
-        bore = -np.cos(tilt) * sub + np.sin(tilt) * (np.cos(az) * e1 + np.sin(az) * e2)
-        pose = look_at_pose(r_cam, r_cam + bore * (args.altitude + args.radius), up_hint=up)
+    pose = pose_above(sub, args.altitude, args.radius, az, np.deg2rad(args.off_nadir), az)
     rng = np.random.default_rng(args.seed)
     dets, truth = synth_scene(catalog, pose, intr, args.sigma_img, rng, args.radius)
     if not dets:
@@ -200,25 +200,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    cfgfile = _read_config(args.config)
-    catalog, problems = load_catalog(args.catalog)
-    for p in problems:
-        print(f"warning: {args.catalog}: {p}", file=sys.stderr)
+    settings = read_key_values(args.config, _MC_KEYS, _MC_REQUIRED)
+    catalog = _load_catalog(args.catalog)
     intr = parse_camera_file(args.camera)
     indexes = [load_index(p) for p in args.index]
-    cfg = MonteCarloConfig(
-        catalog=catalog,
-        indexes=indexes,
-        intrinsics=intr,
-        altitude_km=float(cfgfile["altitude_km"]),
-        trials=int(cfgfile["trials"]),
-        noise_px=[float(v) for v in cfgfile["noise_px"].split(",")],
-        off_nadir_deg=[float(v) for v in cfgfile.get("off_nadir_deg", "0").split(",")],
-        seed=int(cfgfile.get("seed", "0")),
-        n_candidates=int(cfgfile.get("n_candidates", "3")),
-        max_triads=int(cfgfile.get("max_triads", "2000")),
-        gate_threshold=float(cfgfile.get("gate_threshold", "13.277")),
-    )
+    cfg = MonteCarloConfig(catalog=catalog, indexes=indexes, intrinsics=intr, **settings)
     cells = monte_carlo(cfg)
     print(format_cells(cells))
     if args.report:
@@ -278,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build-index", help="build a descriptor index from a catalog CSV")
-    b.add_argument("--catalog", required=True)
+    b.add_argument("--catalog", required=True, help=_CATALOG_HELP)
     b.add_argument("--out", required=True)
     b.add_argument("--scale", default="local", help="local|regional|global or a custom name")
     b.add_argument("--custom", action="store_true", help="ignore preset values")
@@ -294,11 +280,11 @@ def main(argv: list[str] | None = None) -> int:
     b.set_defaults(func=_cmd_build_index)
 
     i = sub.add_parser("identify", help="match a detections file against indexes")
-    i.add_argument("--detections", required=True)
-    i.add_argument("--camera", required=True)
+    i.add_argument("--detections", required=True, help=_DETECTIONS_HELP)
+    i.add_argument("--camera", required=True, help=_CAMERA_HELP)
     i.add_argument("--attitude", required=True, help="qx,qy,qz,qw or 9 matrix values or file")
     i.add_argument("--index", action="append", required=True)
-    i.add_argument("--catalog", required=True)
+    i.add_argument("--catalog", required=True, help=_CATALOG_HELP)
     i.add_argument(
         "--sigma-img", type=float, default=0.5, dest="sigma_img",
         help="rim-fit noise, px, on each of a, b, uc, vc",
@@ -313,8 +299,8 @@ def main(argv: list[str] | None = None) -> int:
     i.set_defaults(func=_cmd_identify)
 
     s = sub.add_parser("simulate", help="render detections from a catalog and pose")
-    s.add_argument("--catalog", required=True)
-    s.add_argument("--camera", required=True)
+    s.add_argument("--catalog", required=True, help=_CATALOG_HELP)
+    s.add_argument("--camera", required=True, help=_CAMERA_HELP)
     s.add_argument("--lat", type=float, required=True, help="sub-point latitude, deg")
     s.add_argument("--lon", type=float, required=True, help="sub-point longitude, deg")
     s.add_argument("--altitude", type=float, required=True, help="km")
@@ -327,10 +313,10 @@ def main(argv: list[str] | None = None) -> int:
     s.set_defaults(func=_cmd_simulate)
 
     m = sub.add_parser("montecarlo", help="run the randomized matching experiment")
-    m.add_argument("--catalog", required=True)
-    m.add_argument("--camera", required=True)
+    m.add_argument("--catalog", required=True, help=_CATALOG_HELP)
+    m.add_argument("--camera", required=True, help=_CAMERA_HELP)
     m.add_argument("--index", action="append", required=True)
-    m.add_argument("--config", required=True, help="key-value experiment config")
+    m.add_argument("--config", required=True, help=_CONFIG_HELP)
     m.add_argument("--report", help="write JSONL records here")
     m.set_defaults(func=_cmd_montecarlo)
 

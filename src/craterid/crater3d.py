@@ -54,6 +54,10 @@ class CraterRecord:
     arc_fraction: float = 1.0
 
     def __post_init__(self):
+        # The catalogue CSV strips cells and skips '#' rows; the index id
+        # table is tab and newline separated.
+        if self.id != self.id.strip() or self.id[:1] == "#" or set(self.id) & set("\t\r\n"):
+            raise ValueError(f"{self.id!r}: id has tab, CR, LF, a leading '#' or padding")
         if not (self.a >= self.b > 0.0):
             raise InvalidAxesError(f"{self.id}: need a >= b > 0, got {self.a}, {self.b}")
         if abs(self.lat) > np.pi / 2.0:

@@ -18,6 +18,7 @@ import struct
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -52,6 +53,7 @@ __all__ = [
     "GLOBAL_SCALE",
     "TriadEntry",
     "DescriptorIndex",
+    "read_csv_rows",
     "load_catalog",
     "filter_catalog",
     "enumerate_triads",
@@ -146,33 +148,44 @@ class TriadEntry:
     home_pixel: int
 
 
-def load_catalog(path: str | Path) -> tuple[list[CraterRecord], list[str]]:
-    """Parse the crater catalog CSV.
+def read_csv_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(start line, stripped cells) of each data row of a CSV file.
 
-    Returns the valid records plus a list of per-row problems ("line N:
-    reason"); malformed rows are skipped, not fatal.  An empty file yields
-    an empty catalog.  Angles are degrees in the file, radians in memory.
+    The catalogue and detections format: UTF-8 CSV as Python's ``csv`` writes
+    it.  Blank rows and rows whose first cell starts with '#' are comments.
+    The first other row must equal ``header`` up to case and padding, else
+    ``SchemaError`` at ``file:line``.  Callers check field counts and values.
     """
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise CraterIdError(f"cannot read catalog {path}: {exc}") from exc
-    records: list[CraterRecord] = []
-    problems: list[str] = []
+        raise CraterIdError(f"cannot read {path}: {exc}") from exc
     reader = csv.reader(io.StringIO(text))
     header_seen = False
-    for lineno, row in enumerate(reader, start=1):
-        if not row or (row[0].lstrip().startswith("#")):
+    next_line = 1
+    for row in reader:
+        lineno, next_line = next_line, reader.line_num + 1
+        if not row or row[0].lstrip().startswith("#"):
             continue
         cells = [c.strip() for c in row]
-        if not header_seen:
-            if [c.lower() for c in cells] != CATALOG_HEADER:
-                raise SchemaError(
-                    f"{path}:{lineno}: header must be {','.join(CATALOG_HEADER)}"
-                )
+        if header_seen:
+            yield lineno, cells
+        elif [c.lower() for c in cells] == header:
             header_seen = True
-            continue
+        else:
+            raise SchemaError(f"{path}:{lineno}: header must be {','.join(header)}")
+
+
+def load_catalog(path: str | Path) -> tuple[list[CraterRecord], list[str]]:
+    """Parse a :func:`read_csv_rows` file with columns ``CATALOG_HEADER``.
+
+    Angles are degrees in the file (orientation counterclockwise from local
+    East), radians in memory.  Returns the valid records plus per-row
+    problems ("line N: reason"); malformed rows are skipped, not fatal.
+    """
+    records: list[CraterRecord] = []
+    problems: list[str] = []
+    for lineno, cells in read_csv_rows(path, CATALOG_HEADER):
         if len(cells) != 7:
             problems.append(f"line {lineno}: expected 7 fields, got {len(cells)}")
             continue

@@ -10,9 +10,8 @@ hypothesis wins; an exhausted search is an explicit no-match.
 from __future__ import annotations
 
 import csv
-import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -22,14 +21,20 @@ from .camera import (
     CameraPose,
     Intrinsics,
     crater_visible,
-    look_at_pose,
+    pose_above,
     projection_matrix,
     project_disk_quadric,
 )
 from .conic2d import EllipseParams, conic_to_ellipse, ellipse_to_conic, normalize_unit_det
-from .crater3d import LUNAR_RADIUS_KM, CraterRecord, build_frame, crater_center, disk_quadric
+from .crater3d import (
+    LUNAR_RADIUS_KM,
+    CraterRecord,
+    build_frame,
+    crater_center,
+    disk_quadric_from_plane_frame,
+)
 from .errors import CraterIdError, SchemaError
-from .index import DescriptorIndex
+from .index import DescriptorIndex, read_csv_rows
 from .invariants import (
     coplanar_triad,
     make_descriptor,
@@ -87,12 +92,11 @@ class SceneGeometry:
     def build(
         cls, records: Sequence[CraterRecord], radius: float = LUNAR_RADIUS_KM
     ) -> "SceneGeometry":
-        frames = []
-        quads = []
-        for r in records:
-            f = build_frame(r, radius)
-            frames.append(f)
-            quads.append(disk_quadric(r, radius))
+        frames = [build_frame(r, radius) for r in records]
+        quads = [
+            disk_quadric_from_plane_frame(f.t_em[:, 0], f.t_em[:, 1], f.p_c, r.a, r.b, r.psi)
+            for r, f in zip(records, frames)
+        ]
         by_id = {r.id: (r, f, q) for r, f, q in zip(records, frames, quads)}
         return cls(
             records=tuple(records),
@@ -437,24 +441,12 @@ def _trial_pose(
     """Random sub-point pose at fixed altitude, nadir or tilted boresight."""
     z = rng.uniform(-1.0, 1.0)
     lon = rng.uniform(-np.pi, np.pi)
-    lat = np.arcsin(z)
-    u = crater_center(lat, lon, 1.0)
-    r_cam = (radius + altitude) * u
-    # Tangent frame for azimuth choices.
-    helper = np.array([0.0, 0.0, 1.0]) if abs(u[2]) < 0.95 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(helper, u)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(u, e1)
+    u = crater_center(np.arcsin(z), lon, 1.0)
     az = rng.uniform(0.0, 2.0 * np.pi)
-    up = np.cos(az) * e1 + np.sin(az) * e2
     if off_nadir_deg == 0.0:
-        return look_at_pose(r_cam, np.zeros(3), up_hint=up)
-    tilt = np.deg2rad(off_nadir_deg)
+        return pose_above(u, altitude, radius, az)
     az2 = rng.uniform(0.0, 2.0 * np.pi)
-    t_dir = np.cos(az2) * e1 + np.sin(az2) * e2
-    boresight = -np.cos(tilt) * u + np.sin(tilt) * t_dir
-    target = r_cam + boresight * (altitude + radius)
-    return look_at_pose(r_cam, target, up_hint=up)
+    return pose_above(u, altitude, radius, az, np.deg2rad(off_nadir_deg), az2)
 
 
 @dataclass
@@ -472,7 +464,6 @@ class MonteCarloConfig:
     n_candidates: int = 3
     max_triads: int = 2000
     gate_threshold: float = 13.277
-    min_gate_sigma: float = 0.05  # floor so zero-noise cells keep a finite gate
 
 
 @dataclass
@@ -490,6 +481,10 @@ class MonteCarloCell:
     @property
     def correct_fraction(self) -> float:
         return self.correct / self.trials if self.trials else 0.0
+
+
+# Floor on the gate's sigma_img, so zero-noise cells keep a finite gate.
+_MIN_GATE_SIGMA = 0.05
 
 
 def monte_carlo(cfg: MonteCarloConfig, radius: float = LUNAR_RADIUS_KM) -> list[MonteCarloCell]:
@@ -517,7 +512,7 @@ def monte_carlo(cfg: MonteCarloConfig, radius: float = LUNAR_RADIUS_KM) -> list[
                 indexes=cfg.indexes,
                 catalog=cfg.catalog,
                 gate=GateConfig(
-                    sigma_img=max(sigma, cfg.min_gate_sigma),
+                    sigma_img=max(sigma, _MIN_GATE_SIGMA),
                     threshold=cfg.gate_threshold,
                 ),
                 n_candidates=cfg.n_candidates,
@@ -569,26 +564,8 @@ def format_cells(cells: Sequence[MonteCarloCell]) -> str:
 
 
 def cells_to_jsonl(cells: Sequence[MonteCarloCell]) -> str:
-    """Line-delimited machine-readable records."""
-    rows = []
-    for c in cells:
-        rows.append(
-            json.dumps(
-                {
-                    "noise_px": c.noise_px,
-                    "off_nadir_deg": c.off_nadir_deg,
-                    "trials": c.trials,
-                    "correct": c.correct,
-                    "incorrect": c.incorrect,
-                    "no_match": c.no_match,
-                    "insufficient": c.insufficient,
-                    "median_err_m": c.median_err_m,
-                    "rms_err_m": c.rms_err_m,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(rows) + "\n"
+    """Line-delimited machine-readable records, keyed by the cell's field names."""
+    return "\n".join(json.dumps(asdict(c), sort_keys=True) for c in cells) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -599,22 +576,10 @@ DETECTIONS_HEADER = ["u_c", "v_c", "a_px", "b_px", "psi_rad"]
 
 
 def load_detections(path: str | Path) -> list[Detection]:
-    """Read a detections CSV (``u_c,v_c,a_px,b_px,psi_rad``; '#' comments)."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Rim fits from a :func:`craterid.index.read_csv_rows` file with columns
+    ``DETECTIONS_HEADER`` (pixels, radians); a bad row raises ``SchemaError``."""
     out: list[Detection] = []
-    reader = csv.reader(io.StringIO(text))
-    header_seen = False
-    for lineno, row in enumerate(reader, start=1):
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        cells = [c.strip() for c in row]
-        if not header_seen:
-            if [c.lower() for c in cells] != DETECTIONS_HEADER:
-                raise SchemaError(
-                    f"{path}:{lineno}: header must be {','.join(DETECTIONS_HEADER)}"
-                )
-            header_seen = True
-            continue
+    for lineno, cells in read_csv_rows(path, DETECTIONS_HEADER):
         if len(cells) != 5:
             raise SchemaError(f"{path}:{lineno}: expected 5 fields")
         try:

@@ -61,18 +61,24 @@ def _b_matrix(image_conic: np.ndarray, t_mc: np.ndarray, kmat: np.ndarray) -> np
     return 0.5 * (b + b.T)
 
 
+def _scale_and_block(corr: ConicCorrespondence, t_mc: np.ndarray, kmat: np.ndarray) -> tuple:
+    """Homography scale, 2x3 position block and plane conic of one crater."""
+    b = _b_matrix(corr.image_conic, t_mc, kmat)
+    c = corr.plane_conic()
+    block = _S.T @ corr.frame.t_em.T @ b
+    lhs = _S.T @ c @ _S
+    rhs = block @ corr.frame.t_em @ _S
+    denom = float(np.sum(lhs * lhs))
+    if denom < 1e-14:
+        raise DegenerateBlockError("catalog conic block is numerically zero")
+    return float(np.sum(lhs * rhs)) / denom, block, c
+
+
 def estimate_scale(
     corr: ConicCorrespondence, t_mc: np.ndarray, intr: Intrinsics
 ) -> float:
     """Least-squares homography scale from the position-independent block."""
-    b = _b_matrix(corr.image_conic, t_mc, k_matrix(intr))
-    c = corr.plane_conic()
-    lhs = _S.T @ c @ _S
-    rhs = _S.T @ corr.frame.t_em.T @ b @ corr.frame.t_em @ _S
-    denom = float(np.sum(lhs * lhs))
-    if denom < 1e-14:
-        raise DegenerateBlockError("catalog conic block is numerically zero")
-    return float(np.sum(lhs * rhs)) / denom
+    return _scale_and_block(corr, t_mc, k_matrix(intr))[0]
 
 
 def solve_position(
@@ -95,12 +101,10 @@ def solve_position(
     rhs = []
     scales = []
     for corr in corrs:
-        b = _b_matrix(corr.image_conic, t_mc, kmat)
-        s_hat = estimate_scale(corr, t_mc, intr)
+        s_hat, block, c = _scale_and_block(corr, t_mc, kmat)
         scales.append(s_hat)
-        block = _S.T @ corr.frame.t_em.T @ b
         rows.append(block)
-        rhs.append(block @ corr.frame.p_c - s_hat * (_S.T @ corr.plane_conic() @ _K3))
+        rhs.append(block @ corr.frame.p_c - s_hat * (_S.T @ c @ _K3))
     a = np.vstack(rows)
     y = np.concatenate(rhs)
     # Scale rows to comparable magnitude so the residual is meaningful.

@@ -187,6 +187,65 @@ def test_quaternion_attitude_accepted(tmp_path, camera_file, catalog_file, index
     assert rc == 3  # parsed fine; one detection is insufficient
 
 
+def _error_lines(stderr: str) -> list[str]:
+    return [line for line in stderr.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("attitude", ["1,0,0,0,1,0,0,0,-1", "foo"])
+def test_identify_rejects_bad_attitude(
+    tmp_path, camera_file, catalog_file, index_file, capsys, attitude
+):
+    dets_file = tmp_path / "noise.csv"
+    dets_file.write_text(
+        "u_c,v_c,a_px,b_px,psi_rad\n"
+        "200,200,40,30,0.1\n900,300,52,41,0.9\n500,1500,45,38,2.2\n1500,1500,60,47,1.4\n"
+    )
+    rc = main(
+        [
+            "identify",
+            "--detections", str(dets_file),
+            "--camera", str(camera_file),
+            "--attitude", attitude,
+            "--index", str(index_file),
+            "--catalog", str(catalog_file),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    (line,) = _error_lines(err)
+    assert "attitude" in line
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("altitude_km 150\nnoise_px 0.5\n", ["trials"]),  # missing key
+        ("trials 2.5\naltitude_km 150\nnoise_px 0.5\n", [":1:", "trials"]),  # bad value
+        ("trails 2\ntrials 2\naltitude_km 150\nnoise_px 0.5\n", [":1:", "trails"]),
+    ],
+)
+def test_montecarlo_bad_config(
+    tmp_path, camera_file, catalog_file, index_file, capsys, text, expected
+):
+    cfg = tmp_path / "mc.txt"
+    cfg.write_text(text)
+    rc = main(
+        [
+            "montecarlo",
+            "--catalog", str(catalog_file),
+            "--camera", str(camera_file),
+            "--index", str(index_file),
+            "--config", str(cfg),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    (line,) = _error_lines(err)
+    assert str(cfg) in line
+    for part in expected:
+        assert part in line
+
+
 def test_montecarlo_cli(tmp_path, camera_file, catalog_file, index_file, capsys):
     cfg = tmp_path / "mc.txt"
     cfg.write_text("trials 2\naltitude_km 150\nnoise_px 0.0,0.5\nseed 3\n")

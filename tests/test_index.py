@@ -1,8 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import craterid.index as index_mod
-from craterid.crater3d import crater_center
+from craterid.crater3d import CraterRecord, crater_center
 from craterid.errors import DimensionMismatchError, SchemaError, VersionMismatchError
 from craterid.healpix import HealpixGrid
 from craterid.index import (
@@ -76,6 +81,71 @@ def test_load_catalog_header_error(tmp_path):
     f.write_text("id,lat,lon\nC1,1,2\n")
     with pytest.raises(SchemaError):
         load_catalog(f)
+
+
+def test_load_catalog_rejects_ids_the_index_cannot_hold(tmp_path):
+    f = tmp_path / "cat.csv"
+    f.write_text(
+        HEADER
+        + "C1, 10, 20, 5, 4, 30, 0.95\n"
+        + '"A\tB", 11, 20, 5, 4, 30, 0.95\n'  # tab separates the index's id cells
+        + '"A\nB", 12, 20, 5, 4, 30, 0.95\n'  # newline separates its id rows
+        + "C2, 13, 20, 5, 4, 30, 0.95\n"
+    )
+    records, problems = load_catalog(f)
+    assert [r.id for r in records] == ["C1", "C2"]
+    assert [p.split(":")[0] for p in problems] == ["line 3", "line 4"]
+    for bad in ("A\tB", "A\rB", "A\nB", "#A", " A", "A "):
+        with pytest.raises(ValueError):
+            CraterRecord(bad, 0.1, 0.2, 5.0, 4.0, 0.0)
+
+
+@st.composite
+def _catalog_records(draw):
+    recs = []
+    for _ in range(draw(st.integers(0, 5))):
+        a = draw(st.floats(1e-3, 500.0))
+        try:
+            rec = CraterRecord(
+                id=draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=10)),
+                lat=np.deg2rad(draw(st.floats(-89.9, 89.9))),
+                lon=np.deg2rad(draw(st.floats(-180.0, 180.0))),
+                a=a,
+                b=draw(st.floats(1e-3, a)),
+                psi=np.deg2rad(draw(st.floats(0.0, 180.0))),
+                arc_fraction=draw(st.floats(0.0, 1.0)),
+            )
+        except ValueError:
+            reject()  # an id CraterRecord refuses
+        recs.append(rec)
+    return recs
+
+
+@settings(deadline=None, max_examples=80)
+@given(_catalog_records())
+def test_catalog_round_trip_property(recs):
+    # What load_catalog returns is exactly the record as printed by save_catalog.
+    def printed(v, fmt):
+        return float(format(v, fmt))
+
+    expected = [
+        CraterRecord(
+            id=r.id,
+            lat=np.deg2rad(printed(np.rad2deg(r.lat), ".9f")),
+            lon=np.deg2rad(printed(np.rad2deg(r.lon), ".9f")),
+            a=printed(r.a, ".6f"),
+            b=printed(r.b, ".6f"),
+            psi=np.deg2rad(printed(np.rad2deg(r.psi), ".6f")),
+            arc_fraction=printed(r.arc_fraction, ".4f"),
+        )
+        for r in recs
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "cat.csv"
+        save_catalog(recs, f)
+        back, problems = load_catalog(f)
+    assert problems == []
+    assert back == expected
 
 
 def test_catalog_round_trip(tmp_path):

@@ -1,7 +1,11 @@
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from craterid.camera import look_at_pose, projection_matrix
 from craterid.conic2d import conic_to_ellipse
@@ -152,6 +156,25 @@ def test_synth_scene_far_side_invisible(patch_records, apollo_camera):
     assert dets == []
 
 
+def test_scene_geometry_builds_each_frame_once(monkeypatch, patch_records):
+    import craterid.crater3d as crater3d_mod
+    import craterid.pipeline as pipeline_mod
+
+    real = crater3d_mod.build_frame
+    calls = []
+
+    def counting(rec, radius=LUNAR_RADIUS_KM):
+        calls.append(rec.id)
+        return real(rec, radius)
+
+    monkeypatch.setattr(crater3d_mod, "build_frame", counting)
+    monkeypatch.setattr(pipeline_mod, "build_frame", counting)
+    geom = SceneGeometry.build(patch_records)
+    assert len(calls) == len(patch_records)
+    for rec, q in zip(patch_records, geom.quadrics):
+        assert np.array_equal(q, crater3d_mod.disk_quadric(rec))
+
+
 def test_trial_pose_off_nadir_angle():
     rng = np.random.default_rng(4)
     for off in (0.0, 10.0, 30.0):
@@ -286,6 +309,31 @@ def test_detections_round_trip(tmp_path):
     save_detections(dets, f, truth={0: "A", 1: "B"})
     back = load_detections(f)
     assert back == dets
+
+
+_coord = st.floats(-1e5, 1e5, allow_nan=False)
+_axis = st.floats(1e-3, 1e4, allow_nan=False)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    rows=st.lists(st.tuples(_coord, _coord, _axis, _axis, st.floats(-10.0, 10.0)), max_size=6),
+    truth=st.dictionaries(st.integers(0, 5), st.text(max_size=8), max_size=3),
+)
+def test_detections_round_trip_property(rows, truth):
+    dets = [Detection(uc=u, vc=v, a=max(a, b), b=min(a, b), psi=p) for u, v, a, b, p in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "dets.csv"
+        save_detections(dets, f, truth=truth)
+        back = load_detections(f)
+    # What load_detections returns is exactly each value as save_detections printed it.
+    def printed(v, fmt=".6f"):
+        return float(format(v, fmt))
+
+    assert back == [
+        Detection(printed(d.uc), printed(d.vc), printed(d.a), printed(d.b), printed(d.psi, ".9f"))
+        for d in dets
+    ]
 
 
 def test_detections_schema_error(tmp_path):
