@@ -13,10 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .conic2d import adjugate, conic_to_ellipse, is_proper_ellipse, normalize_unit_det
+from .conic2d import (
+    EllipseParams,
+    adjugate,
+    conic_to_ellipse,
+    is_proper_ellipse,
+    normalize_unit_det,
+)
 from .crater3d import CraterFrame
 from .errors import (
     BehindCameraError,
+    CraterIdError,
     DegenerateViewError,
     NotAnEllipseError,
     SchemaError,
@@ -32,6 +39,7 @@ __all__ = [
     "project_disk_quadric",
     "crater_homography",
     "crater_visible",
+    "rim_inside_image",
     "look_at_pose",
     "pose_above",
     "quaternion_to_matrix",
@@ -147,10 +155,15 @@ def crater_visible(
     if xh[2] <= 0.0:
         return False
     try:
-        locus = project_disk_quadric(p, q)
-        ell = conic_to_ellipse(locus)
-    except Exception:
+        ell = conic_to_ellipse(project_disk_quadric(p, q))
+    except CraterIdError:
         return False
+    return rim_inside_image(ell, intr)
+
+
+def rim_inside_image(ell: EllipseParams, intr: Intrinsics) -> bool:
+    """True when the whole image ellipse lies inside the image bounds, or
+    when the intrinsics carry no image size."""
     if intr.rows <= 0 or intr.cols <= 0:
         return True
     # Axis-aligned half-extents of the projected ellipse.

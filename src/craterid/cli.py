@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -98,41 +99,31 @@ _CONFIG_HELP = (
 )
 
 
+# build-index options, named as the IndexScale fields they set.
+_SCALE_FIELDS = (
+    "k", "d_min", "d_max", "max_ellipticity", "min_arc_fraction", "descriptor_kind", "convention"
+)
+# Defaults of a scale that is not a preset; it must set the other fields.
+_CUSTOM_DEFAULTS = dict(max_ellipticity=np.inf, min_arc_fraction=0.9, convention="ordered")
+
+
 def _scale_from_args(args) -> IndexScale:
-    if args.scale in _PRESETS and not args.custom:
-        base = _PRESETS[args.scale]
-        return IndexScale(
-            name=base.name,
-            k=base.k if args.k is None else args.k,
-            d_min=base.d_min if args.d_min is None else args.d_min,
-            d_max=base.d_max if args.d_max is None else args.d_max,
-            max_ellipticity=base.max_ellipticity
-            if args.max_ellipticity is None
-            else args.max_ellipticity,
-            min_arc_fraction=base.min_arc_fraction
-            if args.min_arc_fraction is None
-            else args.min_arc_fraction,
-            descriptor_kind=base.descriptor_kind if args.kind is None else args.kind,
-            convention=args.convention or base.convention,
-            whiten=args.whiten,
-        )
-    required = dict(
-        k=args.k, d_min=args.d_min, d_max=args.d_max, kind=args.kind
-    )
-    missing = [k for k, v in required.items() if v is None]
+    """The preset's (or a custom scale's) defaults, overridden by every option
+    given; a ``d_max`` <= 0 means unbounded."""
+    preset = _PRESETS.get(args.scale)
+    fields = asdict(preset) if preset else dict(_CUSTOM_DEFAULTS, name=args.scale)
+    fields.update((f, getattr(args, f)) for f in _SCALE_FIELDS if getattr(args, f) is not None)
+    missing = [f for f in _SCALE_FIELDS if f not in fields]
     if missing:
-        raise CraterIdError(f"custom scale needs --{', --'.join(missing)}")
-    return IndexScale(
-        name=args.scale,
-        k=args.k,
-        d_min=args.d_min,
-        d_max=np.inf if args.d_max <= 0 else args.d_max,
-        max_ellipticity=np.inf if args.max_ellipticity is None else args.max_ellipticity,
-        min_arc_fraction=0.9 if args.min_arc_fraction is None else args.min_arc_fraction,
-        descriptor_kind=args.kind,
-        convention=args.convention or "ordered",
-        whiten=args.whiten,
-    )
+        flags = {"descriptor_kind": "kind"}
+        names = ", ".join("--" + flags.get(f, f).replace("_", "-") for f in missing)
+        raise CraterIdError(f"custom scale needs {names}")
+    if fields["d_max"] <= 0:
+        fields["d_max"] = np.inf
+    try:
+        return IndexScale(**fields)
+    except ValueError as exc:
+        raise CraterIdError(f"bad scale {args.scale!r}: {exc}") from exc
 
 
 def _cmd_build_index(args) -> int:
@@ -148,18 +139,19 @@ def _cmd_build_index(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    detections = load_detections(args.detections)
-    intr = parse_camera_file(args.camera)
-    attitude = _parse_attitude(args.attitude)
-    indexes = [load_index(p) for p in args.index]
-    catalog = _load_catalog(args.catalog)
+    if args.n_candidates < 1:
+        raise CraterIdError("--n-candidates must be at least 1")
+    try:
+        gate = GateConfig(sigma_img=args.sigma_img, threshold=args.threshold)
+    except ValueError as exc:
+        raise CraterIdError(f"--sigma-img and --threshold: {exc}") from exc
     req = IdentifyRequest(
-        detections=detections,
-        intrinsics=intr,
-        attitude=attitude,
-        indexes=indexes,
-        catalog=catalog,
-        gate=GateConfig(sigma_img=args.sigma_img, threshold=args.threshold),
+        detections=load_detections(args.detections),
+        intrinsics=parse_camera_file(args.camera),
+        attitude=_parse_attitude(args.attitude),
+        indexes=[load_index(p) for p in args.index],
+        catalog=_load_catalog(args.catalog),
+        gate=gate,
         n_candidates=args.n_candidates,
         max_triads=args.max_triads,
     )
@@ -266,16 +258,19 @@ def main(argv: list[str] | None = None) -> int:
     b = sub.add_parser("build-index", help="build a descriptor index from a catalog CSV")
     b.add_argument("--catalog", required=True, help=_CATALOG_HELP)
     b.add_argument("--out", required=True)
-    b.add_argument("--scale", default="local", help="local|regional|global or a custom name")
-    b.add_argument("--custom", action="store_true", help="ignore preset values")
+    b.add_argument(
+        "--scale", default="local",
+        help="local|regional|global (a preset; options override its values) or a custom name",
+    )
     b.add_argument("--k", type=int)
-    b.add_argument("--d-min", type=float, dest="d_min")
-    b.add_argument("--d-max", type=float, dest="d_max", help="<=0 means unbounded")
+    b.add_argument("--d-min", type=float, dest="d_min", help="smallest rim diameter, km")
+    b.add_argument(
+        "--d-max", type=float, dest="d_max", help="largest rim diameter, km; <= 0 means unbounded"
+    )
     b.add_argument("--max-ellipticity", type=float, dest="max_ellipticity")
     b.add_argument("--min-arc-fraction", type=float, dest="min_arc_fraction")
-    b.add_argument("--kind", choices=["coplanar7", "noncoplanar3"])
+    b.add_argument("--kind", choices=["coplanar7", "noncoplanar3"], dest="descriptor_kind")
     b.add_argument("--convention", choices=["ordered", "sorted", "p2"])
-    b.add_argument("--whiten", action="store_true")
     b.add_argument("--radius", type=float, default=LUNAR_RADIUS_KM)
     b.set_defaults(func=_cmd_build_index)
 

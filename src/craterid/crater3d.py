@@ -9,6 +9,7 @@ only at I/O boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,8 @@ class CraterRecord:
         # table is tab and newline separated.
         if self.id != self.id.strip() or self.id[:1] == "#" or set(self.id) & set("\t\r\n"):
             raise ValueError(f"{self.id!r}: id has tab, CR, LF, a leading '#' or padding")
+        if not all(map(math.isfinite, (self.lat, self.lon, self.a, self.b, self.psi))):
+            raise ValueError(f"{self.id}: lat, lon, a, b and psi must be finite")
         if not (self.a >= self.b > 0.0):
             raise InvalidAxesError(f"{self.id}: need a >= b > 0, got {self.a}, {self.b}")
         if abs(self.lat) > np.pi / 2.0:

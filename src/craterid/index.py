@@ -39,12 +39,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .healpix import HealpixGrid
-from .invariants import (
-    CoplanarInvariants7,
-    coplanar_triad,
-    make_descriptor,
-    noncoplanar_triad,
-)
+from .invariants import coplanar_triad, make_descriptor, noncoplanar_triad
 
 __all__ = [
     "IndexScale",
@@ -90,9 +85,9 @@ class IndexScale:
     min_arc_fraction: float
     descriptor_kind: str  # coplanar7 | noncoplanar3
     convention: str  # ordered | sorted | p2
-    whiten: bool = False
 
     def __post_init__(self):
+        HealpixGrid(self.k)  # raises ValueError outside the grid's range of k
         if not self.d_min < self.d_max:
             raise ValueError("d_min must be below d_max")
         if self.max_ellipticity < 1.0:
@@ -114,7 +109,6 @@ class IndexScale:
             "min_arc_fraction": float(self.min_arc_fraction),
             "descriptor_kind": self.descriptor_kind,
             "convention": self.convention,
-            "whiten": bool(self.whiten),
         }
         return json.dumps(d, sort_keys=True)
 
@@ -130,7 +124,6 @@ class IndexScale:
             min_arc_fraction=d["min_arc_fraction"],
             descriptor_kind=d["descriptor_kind"],
             convention=d["convention"],
-            whiten=d["whiten"],
         )
 
 
@@ -409,7 +402,6 @@ class DescriptorIndex:
     skipped: int = 0
     _matrix: np.ndarray = field(init=False, repr=False)
     _tree: cKDTree | None = field(init=False, repr=False, default=None)
-    _sigma: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dim = 7 if self.scale.descriptor_kind == "coplanar7" else 3
@@ -419,14 +411,8 @@ class DescriptorIndex:
             self._matrix = np.zeros((0, dim))
         if self._matrix.shape[1] != dim:
             raise DimensionMismatchError("entry dimension does not match scale")
-        if self.scale.whiten and len(self.entries) > 1:
-            sig = self._matrix.std(axis=0)
-            sig[sig == 0.0] = 1.0
-            self._sigma = sig
-        else:
-            self._sigma = np.ones(dim)
         if len(self.entries):
-            self._tree = cKDTree(self._matrix / self._sigma)
+            self._tree = cKDTree(self._matrix)
 
     @property
     def dim(self) -> int:
@@ -447,7 +433,7 @@ class DescriptorIndex:
         if not self.entries:
             return []
         n = min(n, len(self.entries))
-        dist, idx = self._tree.query(q / self._sigma, k=n)
+        dist, idx = self._tree.query(q, k=n)
         dist = np.atleast_1d(dist)
         idx = np.atleast_1d(idx)
         return [(float(d), self.entries[int(i)]) for d, i in zip(dist, idx)]
@@ -497,7 +483,7 @@ def build_index(
 
 
 _MAGIC = b"CRIDX\x00"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 def save_index(index: DescriptorIndex, path: str | Path) -> None:
@@ -566,5 +552,5 @@ def load_index(path: str | Path) -> DescriptorIndex:
         parts = tuple(row.split("\t"))
         if len(parts) != 3:
             raise VersionMismatchError("malformed id row")
-        entries.append(TriadEntry(ids=parts, values=vals.copy(), home_pixel=int(hp)))
+        entries.append(TriadEntry(ids=parts, values=vals, home_pixel=int(hp)))
     return DescriptorIndex(scale=scale, entries=entries, radius=radius)

@@ -1,15 +1,18 @@
 """Projective invariants of conic triads and descriptor assembly.
 
-Two families:
+Two families, each returned as a float array:
 
-* coplanar triads: six pairwise trace invariants plus one triple trace
-  invariant, computed from determinant-normalized locus matrices;
-* non-coplanar triads on a common quadric surface: three Cayley-Klein line
-  distances, computed from the pencil-recovered lines between each conic
-  pair and the conic envelopes.
+* coplanar triads: ``[I_ij, I_jk, I_ki, I_ji, I_kj, I_ik, I_ijk]``, six
+  pairwise trace invariants plus one triple trace invariant, computed from
+  determinant-normalized locus matrices;
+* non-coplanar triads on a common quadric surface: ``[J_i, J_j, J_k]``,
+  three Cayley-Klein line distances, computed from the pencil-recovered
+  lines between each conic pair and the conic envelopes.
 
 Descriptors come in three conventions (ordered / sorted / p2); the p2 forms
 are additionally invariant to cyclic relabeling of the three craters.
+:func:`make_descriptor` gives the stored form of a catalogue triad and
+:func:`query_rotations` the query forms of an image triad.
 """
 
 from __future__ import annotations
@@ -18,11 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conic2d import adjugate, conic_det, pencil_separating_line
+from .conic2d import (
+    adjugate,
+    conic_center,
+    conic_det,
+    normalize_unit_det,
+    pencil_separating_line,
+)
 from .errors import AcoshDomainError, NotNormalizedError, OverlapError
 
 __all__ = [
-    "CoplanarInvariants7",
     "TriadDescriptor",
     "coplanar_pair",
     "coplanar_triad",
@@ -33,6 +41,7 @@ __all__ = [
     "make_descriptor",
     "p2_nine_descriptor",
     "rotate_descriptor_values",
+    "query_rotations",
 ]
 
 _DET_TOL = 1e-9
@@ -51,8 +60,6 @@ def _condition_frame(conics: list[np.ndarray]) -> list[np.ndarray]:
     evaluating the traces near the origin at unit scale avoids the
     cancellation that pixel-frame coordinates otherwise cause.
     """
-    from .conic2d import conic_center, normalize_unit_det
-
     centers = [conic_center(c) for c in conics]
     mid = np.mean(centers, axis=0)
     spread = max(float(np.linalg.norm(c - mid)) for c in centers)
@@ -70,44 +77,22 @@ def coplanar_pair(ai: np.ndarray, aj: np.ndarray) -> tuple[float, float]:
     return i_ij, i_ji
 
 
-@dataclass(frozen=True)
-class CoplanarInvariants7:
-    """Seven invariants of a coplanar conic triad (i, j, k)."""
-
-    i_ij: float
-    i_jk: float
-    i_ki: float
-    i_ji: float
-    i_kj: float
-    i_ik: float
-    i_ijk: float
-
-    def vector(self) -> np.ndarray:
-        return np.array(
-            [self.i_ij, self.i_jk, self.i_ki, self.i_ji, self.i_kj, self.i_ik, self.i_ijk]
-        )
-
-    def cycled(self, r: int) -> "CoplanarInvariants7":
-        """Invariants after cyclically relabeling (i,j,k) -> (j,k,i), r times."""
-        t1 = np.roll([self.i_ij, self.i_jk, self.i_ki], -r)
-        t2 = np.roll([self.i_ji, self.i_kj, self.i_ik], -r)
-        return CoplanarInvariants7(t1[0], t1[1], t1[2], t2[0], t2[1], t2[2], self.i_ijk)
-
-
-def coplanar_triad(ai: np.ndarray, aj: np.ndarray, ak: np.ndarray) -> CoplanarInvariants7:
-    """All seven invariants of a determinant-normalized coplanar triad."""
+def coplanar_triad(ai: np.ndarray, aj: np.ndarray, ak: np.ndarray) -> np.ndarray:
+    """``[I_ij, I_jk, I_ki, I_ji, I_kj, I_ik, I_ijk]`` of a determinant-normalized
+    coplanar triad (i, j, k)."""
     _check_unit_det(ai, aj, ak)
     ai, aj, ak = _condition_frame([ai, aj, ak])
     adj_i, adj_j, adj_k = adjugate(ai), adjugate(aj), adjugate(ak)
-    i_ijk = float(np.trace((adjugate(aj + ak) - adjugate(aj - ak)) @ ai))
-    return CoplanarInvariants7(
-        i_ij=float(np.trace(adj_i @ aj)),
-        i_jk=float(np.trace(adj_j @ ak)),
-        i_ki=float(np.trace(adj_k @ ai)),
-        i_ji=float(np.trace(adj_j @ ai)),
-        i_kj=float(np.trace(adj_k @ aj)),
-        i_ik=float(np.trace(adj_i @ ak)),
-        i_ijk=i_ijk,
+    return np.array(
+        [
+            np.trace(adj_i @ aj),
+            np.trace(adj_j @ ak),
+            np.trace(adj_k @ ai),
+            np.trace(adj_j @ ai),
+            np.trace(adj_k @ aj),
+            np.trace(adj_i @ ak),
+            np.trace((adjugate(aj + ak) - adjugate(aj - ak)) @ ai),
+        ]
     )
 
 
@@ -131,10 +116,8 @@ def cayley_klein_distance(
     return float(np.arccosh(max(ratio, 1.0)))
 
 
-def noncoplanar_triad(
-    ai: np.ndarray, aj: np.ndarray, ak: np.ndarray
-) -> tuple[float, float, float]:
-    """Cayley-Klein invariants (J_i, J_j, J_k) of three image conics.
+def noncoplanar_triad(ai: np.ndarray, aj: np.ndarray, ak: np.ndarray) -> np.ndarray:
+    """Cayley-Klein invariants ``[J_i, J_j, J_k]`` of three image conics.
 
     The conics must be pairwise non-overlapping projections of rims lying on
     a common quadric surface.  Raises ``OverlapError`` when the separating
@@ -149,7 +132,7 @@ def noncoplanar_triad(
     j_i = cayley_klein_distance(adjugate(ai), l_ij, l_ik)
     j_j = cayley_klein_distance(adjugate(aj), l_ij, l_jk)
     j_k = cayley_klein_distance(adjugate(ak), l_ik, l_jk)
-    return j_i, j_j, j_k
+    return np.array([j_i, j_j, j_k])
 
 
 def _lex_min_rotation(x: float, y: float, z: float) -> tuple[float, float, float]:
@@ -220,10 +203,6 @@ class TriadDescriptor:
     ids: tuple[str, str, str]
 
 
-def _min_rotation(first_triple: np.ndarray) -> int:
-    return int(np.argmin(first_triple))
-
-
 def rotate_descriptor_values(values: np.ndarray, r: int) -> np.ndarray:
     """Descriptor vector after cyclically relabeling the craters ``r`` steps."""
     values = np.asarray(values, dtype=float)
@@ -235,56 +214,63 @@ def rotate_descriptor_values(values: np.ndarray, r: int) -> np.ndarray:
 
 
 def make_descriptor(
-    inv: tuple[float, float, float] | CoplanarInvariants7,
-    convention: str,
-    ids: tuple[str, str, str],
+    values: np.ndarray, convention: str, ids: tuple[str, str, str]
 ) -> TriadDescriptor:
-    """Assemble a descriptor in the requested convention.
+    """Stored descriptor of a catalogue triad with invariants ``values``.
 
-    For 3-element invariants: ordered keeps (J_i, J_j, J_k); sorted rotates
-    the cycle so the smallest J leads; p2 applies the cyclic-invariant F map.
-
-    For 7-element invariants: ordered is the canonical concatenation; sorted
-    rotates the crater labels so the smallest first-triple invariant leads;
-    p2 is the seven-element form [F(t1), F1(t2), Gt(t1, t2), I_ijk].
+    ``values`` is a :func:`noncoplanar_triad` 3-vector or a
+    :func:`coplanar_triad` 7-vector.  ordered keeps it as is; sorted rotates
+    the crater labels so the smallest of the first three invariants leads;
+    p2 maps it to its cyclic-invariant form, ``F(J)`` for three elements and
+    ``[F(t1), F1(t2), Gt(t1, t2), I_ijk]`` for seven.
     """
-    if convention not in ("ordered", "sorted", "p2"):
-        raise ValueError(f"unknown convention {convention!r}")
-    if isinstance(inv, CoplanarInvariants7):
-        vec = inv.vector()
-        if convention == "ordered":
-            return TriadDescriptor(vec, convention, ids)
-        if convention == "sorted":
-            r = _min_rotation(vec[:3])
-            return TriadDescriptor(
-                rotate_descriptor_values(vec, r), convention, _rotate_ids(ids, r)
-            )
-        f_t1 = cyclic_F(inv.i_ij, inv.i_jk, inv.i_ki)
-        f1_t2 = cyclic_F(inv.i_ji, inv.i_kj, inv.i_ik)[0]
-        _, _, gt1, gt2 = pair_G(inv.i_ij, inv.i_jk, inv.i_ki, inv.i_ji, inv.i_kj, inv.i_ik)
-        values = np.array([f_t1[0], f_t1[1], f_t1[2], f1_t2, gt1, gt2, inv.i_ijk])
-        return TriadDescriptor(values, convention, ids)
-
-    vec = np.asarray(inv, dtype=float)
-    if vec.shape != (3,):
-        raise ValueError("non-coplanar invariants must have 3 elements")
+    vec = np.array(values, dtype=float)
+    if vec.shape not in ((3,), (7,)):
+        raise ValueError("invariants must have 3 or 7 elements")
     if not np.all(np.isfinite(vec)):
         raise ValueError("invariants must be finite")
     if convention == "ordered":
-        return TriadDescriptor(vec.copy(), convention, ids)
+        return TriadDescriptor(vec, convention, ids)
     if convention == "sorted":
-        r = _min_rotation(vec)
-        return TriadDescriptor(np.roll(vec, -r), convention, _rotate_ids(ids, r))
-    return TriadDescriptor(np.array(cyclic_F(*vec)), convention, ids)
+        r = int(np.argmin(vec[:3]))
+        return TriadDescriptor(rotate_descriptor_values(vec, r), convention, ids[r:] + ids[:r])
+    if convention == "p2":
+        if len(vec) == 3:
+            return TriadDescriptor(np.array(cyclic_F(*vec)), convention, ids)
+        _, _, gt1, gt2 = pair_G(*vec[:6])
+        p2 = [*cyclic_F(*vec[:3]), cyclic_F(*vec[3:6])[0], gt1, gt2, vec[6]]
+        return TriadDescriptor(np.array(p2), convention, ids)
+    raise ValueError(f"unknown convention {convention!r}")
 
 
-def p2_nine_descriptor(inv: CoplanarInvariants7) -> np.ndarray:
-    """Nine-element p2 alternative: [F(t1), F(t2), Gt(t1, t2), I_ijk]."""
-    f_t1 = cyclic_F(inv.i_ij, inv.i_jk, inv.i_ki)
-    f_t2 = cyclic_F(inv.i_ji, inv.i_kj, inv.i_ik)
-    _, _, gt1, gt2 = pair_G(inv.i_ij, inv.i_jk, inv.i_ki, inv.i_ji, inv.i_kj, inv.i_ik)
-    return np.array([*f_t1, *f_t2, gt1, gt2, inv.i_ijk])
+def query_rotations(
+    values: np.ndarray, convention: str
+) -> list[tuple[int | None, np.ndarray]]:
+    """(rotation, query vector) pairs for an image triad with invariants ``values``.
+
+    ``rotation`` is the cyclic offset of the image labels that the query
+    assumes: the query vector equals :func:`make_descriptor` of the
+    catalogue triad whose labels are the image labels rotated that many
+    steps.  ordered tries 0, 1, 2; sorted tries the min-first rotation first
+    and the other two as retries for when noise displaced the anchor
+    invariant.  p2 makes one query with rotation ``None``: it cannot pin the
+    rotation down, so verification tries all three.
+    """
+    vec = np.asarray(values, dtype=float)
+    if convention == "p2":
+        return [(None, make_descriptor(vec, convention, ("", "", "")).values)]
+    if convention == "ordered":
+        first = 0
+    elif convention == "sorted":
+        first = int(np.argmin(vec[:3]))
+    else:
+        raise ValueError(f"unknown convention {convention!r}")
+    rotations = [(first + off) % 3 for off in range(3)]
+    return [(r, rotate_descriptor_values(vec, r)) for r in rotations]
 
 
-def _rotate_ids(ids: tuple[str, str, str], r: int) -> tuple[str, str, str]:
-    return (ids[r % 3], ids[(r + 1) % 3], ids[(r + 2) % 3])
+def p2_nine_descriptor(values: np.ndarray) -> np.ndarray:
+    """Nine-element p2 alternative of a coplanar 7-vector:
+    [F(t1), F(t2), Gt(t1, t2), I_ijk]."""
+    _, _, gt1, gt2 = pair_G(*values[:6])
+    return np.array([*cyclic_F(*values[:3]), *cyclic_F(*values[3:6]), gt1, gt2, values[6]])

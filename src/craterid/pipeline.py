@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -20,10 +21,10 @@ import numpy as np
 from .camera import (
     CameraPose,
     Intrinsics,
-    crater_visible,
     pose_above,
     projection_matrix,
     project_disk_quadric,
+    rim_inside_image,
 )
 from .conic2d import EllipseParams, conic_to_ellipse, ellipse_to_conic, normalize_unit_det
 from .crater3d import (
@@ -33,14 +34,9 @@ from .crater3d import (
     crater_center,
     disk_quadric_from_plane_frame,
 )
-from .errors import CraterIdError, SchemaError
+from .errors import CraterIdError, InvalidAxesError, SchemaError
 from .index import DescriptorIndex, read_csv_rows
-from .invariants import (
-    coplanar_triad,
-    make_descriptor,
-    noncoplanar_triad,
-    rotate_descriptor_values,
-)
+from .invariants import coplanar_triad, noncoplanar_triad, query_rotations
 from .metrics import GateConfig, gaussian_angle, gate_statistic
 from .pose import ConicCorrespondence, solve_position
 
@@ -70,6 +66,12 @@ class Detection:
     a: float
     b: float
     psi: float
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.uc, self.vc, self.a, self.b, self.psi))):
+            raise ValueError("detection fields must be finite")
+        if not (self.a >= self.b > 0.0):
+            raise InvalidAxesError(f"need a >= b > 0, got a={self.a}, b={self.b}")
 
     def conic(self) -> np.ndarray:
         return ellipse_to_conic(
@@ -168,43 +170,11 @@ def clockwise_image_order(dets: Sequence[Detection]) -> list[int]:
     return list(np.argsort(ang, kind="stable"))
 
 
-def _observation_descriptor(index: DescriptorIndex, conics: list[np.ndarray]):
+def _observation_descriptor(index: DescriptorIndex, conics: list[np.ndarray]) -> np.ndarray:
     """Scale-appropriate invariant vector for three clockwise image conics."""
     if index.scale.descriptor_kind == "coplanar7":
-        cs = [normalize_unit_det(c) for c in conics]
-        return coplanar_triad(*cs).vector()
-    return np.array(noncoplanar_triad(*conics))
-
-
-def _candidate_rotations(index: DescriptorIndex, base: np.ndarray):
-    """Yield (rotation, query_vector) pairs per the index convention.
-
-    ``rotation`` is the cyclic offset of the observation labels the query
-    assumes; ``None`` means the query cannot pin it down (p2) and all three
-    assignments must be tried during verification.
-    """
-    convention = index.scale.convention
-    if convention == "ordered":
-        for r in range(3):
-            yield r, rotate_descriptor_values(base, r)
-    elif convention == "sorted":
-        # Min-first rotation is queried first; the other two are retries for
-        # when noise displaced the anchor invariant.
-        first = int(np.argmin(base[:3]))
-        for off in range(3):
-            r = (first + off) % 3
-            yield r, rotate_descriptor_values(base, r)
-    else:  # p2: a single permutation-invariant query
-        desc = make_descriptor(_vector_as_invariants(base), "p2", ("", "", ""))
-        yield None, desc.values
-
-
-def _vector_as_invariants(base: np.ndarray):
-    from .invariants import CoplanarInvariants7
-
-    if base.shape[0] == 7:
-        return CoplanarInvariants7(*base)
-    return tuple(base)
+        return coplanar_triad(*[normalize_unit_det(c) for c in conics])
+    return noncoplanar_triad(*conics)
 
 
 def _verify_hypothesis(
@@ -296,7 +266,7 @@ def identify(req: IdentifyRequest) -> MatchResult:
                 base = _observation_descriptor(index, conics)
             except CraterIdError:
                 continue
-            for rotation, query_vec in _candidate_rotations(index, base):
+            for rotation, query_vec in query_rotations(base, index.scale.convention):
                 hits = index.query(query_vec, req.n_candidates)
                 if not req.verify:
                     # Negative-control mode: accept the first NN hit.
@@ -353,11 +323,11 @@ def synth_scene(
     truth: dict[int, str] = {}
     for i in np.flatnonzero(cand):
         rec = geom.records[i]
-        if not crater_visible(pose, intr, geom.frames[i], geom.quadrics[i]):
-            continue
         try:
             ell = conic_to_ellipse(project_disk_quadric(p, geom.quadrics[i]))
         except CraterIdError:
+            continue
+        if not rim_inside_image(ell, intr):
             continue
         da = db = du = dv = 0.0
         if sigma_img > 0:

@@ -48,11 +48,9 @@ class ConicCorrespondence:
 
 @dataclass(frozen=True)
 class PositionEstimate:
-    """Solved selenographic camera position with solution diagnostics."""
+    """Solved selenographic camera position."""
 
     r_m: np.ndarray
-    residual: float  # RMS of the stacked linear system
-    scales: np.ndarray  # per-crater homography scales
     inside_moon: bool
 
 
@@ -99,26 +97,11 @@ def solve_position(
     kmat = k_matrix(intr)
     rows = []
     rhs = []
-    scales = []
     for corr in corrs:
         s_hat, block, c = _scale_and_block(corr, t_mc, kmat)
-        scales.append(s_hat)
         rows.append(block)
         rhs.append(block @ corr.frame.p_c - s_hat * (_S.T @ c @ _K3))
-    a = np.vstack(rows)
-    y = np.concatenate(rhs)
-    # Scale rows to comparable magnitude so the residual is meaningful.
-    row_norm = np.linalg.norm(a)
-    if row_norm == 0.0:
-        raise RankDeficientGeometryError("all correspondence blocks vanished")
-    sol, res, rank, _ = np.linalg.lstsq(a, y, rcond=None)
+    r_m, _, rank, _ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
     if rank < 3:
         raise RankDeficientGeometryError("crater geometry does not determine position")
-    resid = float(np.sqrt(np.mean((a @ sol - y) ** 2)))
-    r_m = sol
-    return PositionEstimate(
-        r_m=r_m,
-        residual=resid,
-        scales=np.array(scales),
-        inside_moon=bool(np.linalg.norm(r_m) <= radius + 1.0),
-    )
+    return PositionEstimate(r_m=r_m, inside_moon=bool(np.linalg.norm(r_m) <= radius + 1.0))

@@ -28,12 +28,7 @@ from craterid.crater3d import (
 )
 from craterid.errors import CraterIdError
 from craterid.index import DescriptorIndex, IndexScale, TriadEntry, build_index, enumerate_triads, load_index, save_index
-from craterid.invariants import (
-    CoplanarInvariants7,
-    coplanar_triad,
-    make_descriptor,
-    noncoplanar_triad,
-)
+from craterid.invariants import coplanar_triad, make_descriptor, noncoplanar_triad
 from craterid.metrics import GateConfig, gate_statistic, gaussian_angle, jaccard_distance
 from craterid.pipeline import (
     IdentifyRequest,
@@ -91,8 +86,8 @@ def test_criterion_1_projective_invariance(apollo_camera):
             hi = np.linalg.inv(h)
             return [normalize_unit_det(hi.T @ c @ hi) for c in cs]
 
-        i1 = coplanar_triad(*mapped(h1)).vector()
-        i2 = coplanar_triad(*mapped(h2)).vector()
+        i1 = coplanar_triad(*mapped(h1))
+        i2 = coplanar_triad(*mapped(h2))
         worst_i = max(worst_i, np.abs(i1 - i2).max())
     dt = time.time() - t0
     ok = worst_j <= 1e-8 and worst_i <= 1e-8 and dt < 60.0
@@ -162,7 +157,7 @@ def test_criterion_3_triple_invariant_fit():
         dets = np.array([np.linalg.det(l * cs[0] + m * cs[1] + s * cs[2]) for l, m, s in pts])
         coef, *_ = np.linalg.lstsq(design, dets, rcond=None)
         inv = coplanar_triad(*cs)
-        worst = max(worst, abs(coef[-1] - inv.i_ijk / 2.0) / abs(coef[-1]))
+        worst = max(worst, abs(coef[-1] - inv[6] / 2.0) / abs(coef[-1]))
     ok = worst <= 1e-8
     assert _report(3, ok, f"worst relative fit error {worst:.2e} (<=1e-8), 1000 triads")
 
@@ -476,7 +471,7 @@ def test_criterion_9_convention_tradeoff(local_catalog, local_index, local_scale
     )
     sorted_entries = []
     for e in local_index.entries:
-        d = make_descriptor(CoplanarInvariants7(*e.values), "sorted", e.ids)
+        d = make_descriptor(e.values, "sorted", e.ids)
         sorted_entries.append(TriadEntry(ids=d.ids, values=d.values, home_pixel=e.home_pixel))
     sorted_index = DescriptorIndex(scale=sorted_scale, entries=sorted_entries)
 

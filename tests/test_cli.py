@@ -37,7 +37,6 @@ def index_file(tmp_path, catalog_file):
             "--catalog", str(catalog_file),
             "--out", str(out),
             "--scale", "patch",
-            "--custom",
             "--k", str(PATCH_SCALE.k),
             "--d-min", str(PATCH_SCALE.d_min),
             "--d-max", str(PATCH_SCALE.d_max),
@@ -286,3 +285,48 @@ def test_cli_error_on_missing_custom_fields(tmp_path, catalog_file, capsys):
     )
     capsys.readouterr()
     assert rc == 1
+
+
+_NOISE_DETECTIONS = (
+    "u_c,v_c,a_px,b_px,psi_rad\n"
+    "200,200,40,30,0.1\n900,300,52,41,0.9\n500,1500,45,38,2.2\n1500,1500,60,47,1.4\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, options, error",
+    [
+        ("build-index", ["--scale", "local", "--d-max", "0"], None),  # unbounded
+        ("build-index", ["--scale", "local", "--k", "-1"], "resolution exponent"),
+        ("build-index", ["--scale", "local", "--max-ellipticity", "0.5"], "max_ellipticity"),
+        ("identify", ["--sigma-img", "0"], "sigma_img"),
+        ("identify", ["--threshold", "-1"], "threshold"),
+        ("identify", ["--n-candidates", "0"], "--n-candidates"),
+    ],
+)
+def test_option_values_never_end_in_a_traceback(
+    tmp_path, camera_file, catalog_file, index_file, capsys, command, options, error
+):
+    out = tmp_path / "out.idx"
+    if command == "build-index":
+        argv = ["build-index", "--catalog", str(catalog_file), "--out", str(out)]
+    else:
+        dets_file = tmp_path / "noise.csv"
+        dets_file.write_text(_NOISE_DETECTIONS)
+        argv = [
+            "identify",
+            "--detections", str(dets_file),
+            "--camera", str(camera_file),
+            "--attitude", "0,0,0,1",
+            "--index", str(index_file),
+            "--catalog", str(catalog_file),
+        ]
+    rc = main(argv + options)
+    lines = _error_lines(capsys.readouterr().err)
+    if error is None:
+        assert (rc, lines) == (0, [])
+        assert load_index(out).scale.d_max == np.inf
+    else:
+        assert rc == 1
+        (line,) = lines
+        assert error in line

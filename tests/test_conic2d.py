@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from craterid.conic2d import (
     EllipseParams,
@@ -92,6 +94,32 @@ def test_round_trip_property():
         if e.a / e.b > 1.0 + 1e-6:
             dpsi = (back.psi - e.psi) % np.pi
             assert min(dpsi, np.pi - dpsi) < 1e-9
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    b=st.floats(1.0, 500.0),
+    ratio=st.floats(0.2, 1.0),
+    xc=st.floats(-3000.0, 3000.0),
+    yc=st.floats(-3000.0, 3000.0),
+    psi=st.floats(0.0, np.pi, exclude_max=True),
+)
+def test_round_trip_hypothesis(b, ratio, xc, yc, psi):
+    # Pixel-frame rims: semi-minor axis of 1 px or more, centres up to 3000 px
+    # out.  The conic's constant term grows with centre distance squared over
+    # b squared, so far smaller rims lose digits in the conic itself.
+    e = EllipseParams(b / ratio, b, xc, yc, psi)
+    back = conic_to_ellipse(ellipse_to_conic(e))
+    assert back.a == pytest.approx(e.a, rel=1e-6)
+    assert back.b == pytest.approx(e.b, rel=1e-6)
+    assert back.xc == pytest.approx(e.xc, rel=1e-9, abs=1e-6)
+    assert back.yc == pytest.approx(e.yc, rel=1e-9, abs=1e-6)
+    if ratio < 0.99:
+        dpsi = (back.psi - e.psi) % np.pi
+        assert min(dpsi, np.pi - dpsi) < 1e-6
+    # The recovered ellipse gives back the same conic at the same scale.
+    c, c_back = ellipse_to_conic(e), ellipse_to_conic(back)
+    assert np.allclose(c_back, c, rtol=0.0, atol=1e-6 * np.abs(c).max())
 
 
 def test_round_trip_scale_ambiguity():

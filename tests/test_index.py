@@ -100,6 +100,24 @@ def test_load_catalog_rejects_ids_the_index_cannot_hold(tmp_path):
             CraterRecord(bad, 0.1, 0.2, 5.0, 4.0, 0.0)
 
 
+def test_load_catalog_rejects_non_finite_values(tmp_path):
+    f = tmp_path / "cat.csv"
+    f.write_text(
+        HEADER
+        + "C1, nan, 20, 5, 4, 30, 0.95\n"
+        + "C2, 10, inf, 5, 4, 30, 0.95\n"
+        + "C3, 10, 20, 5, 4, nan, 0.95\n"
+        + "C4, 10, 20, 5, 4, 30, 0.95\n"
+    )
+    records, problems = load_catalog(f)
+    assert [r.id for r in records] == ["C4"]
+    assert [p.split(":")[0] for p in problems] == ["line 2", "line 3", "line 4"]
+    for field in ("lat", "lon", "a", "b", "psi"):
+        values = {**dict(lat=0.1, lon=0.2, a=5.0, b=4.0, psi=0.0), field: np.inf}
+        with pytest.raises(ValueError):
+            CraterRecord("C", **values)
+
+
 @st.composite
 def _catalog_records(draw):
     recs = []
@@ -399,15 +417,6 @@ def test_canonical_view_independence(monkeypatch, patch_records):
     i4 = build_index(oval, scale)
     for a, b in zip(i3.entries, i4.entries):
         assert np.allclose(a.values, b.values, atol=1e-3)
-
-
-def test_whitened_query_consistent(patch_records):
-    scale = IndexScale("w", 2, 6.0, 12.0, np.inf, 0.9, "coplanar7", "ordered", whiten=True)
-    idx = build_index(patch_records, scale)
-    assert len(idx) > 0
-    # self-query still returns the entry at distance zero
-    hits = idx.query(idx.entries[0].values, 1)
-    assert hits[0][0] == 0.0
 
 
 def test_reduction_versus_all_combinations():

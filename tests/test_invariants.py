@@ -6,7 +6,6 @@ from craterid.conic2d import EllipseParams, ellipse_to_conic, normalize_unit_det
 from craterid.crater3d import disk_quadric_from_plane_frame
 from craterid.errors import AcoshDomainError, NotNormalizedError, OverlapError
 from craterid.invariants import (
-    CoplanarInvariants7,
     coplanar_pair,
     coplanar_triad,
     cyclic_F,
@@ -14,6 +13,7 @@ from craterid.invariants import (
     noncoplanar_triad,
     p2_nine_descriptor,
     pair_G,
+    query_rotations,
     rotate_descriptor_values,
 )
 
@@ -62,8 +62,8 @@ def test_pair_invariance_under_camera_homography(apollo_camera):
 def test_triad_identical_invariants():
     c = _norm_conic(EllipseParams(2, 1, 3, 4, 0.5))
     inv = coplanar_triad(c, c, c)
-    assert inv.i_ij == pytest.approx(3.0, abs=1e-9)
-    assert inv.i_ijk == pytest.approx(12.0, abs=1e-9)
+    assert inv[0] == pytest.approx(3.0, abs=1e-9)  # I_ij
+    assert inv[6] == pytest.approx(12.0, abs=1e-9)  # I_ijk
 
 
 def test_triad_invariance_under_camera_homography(apollo_camera):
@@ -73,7 +73,7 @@ def test_triad_invariance_under_camera_homography(apollo_camera):
         h = random_plane_camera(rng, apollo_camera)
         hi = np.linalg.inv(h)
         mapped = [normalize_unit_det(hi.T @ c @ hi) for c in cs]
-        d = np.abs(coplanar_triad(*cs).vector() - coplanar_triad(*mapped).vector())
+        d = np.abs(coplanar_triad(*cs) - coplanar_triad(*mapped))
         assert d.max() < 1e-8
 
 
@@ -103,7 +103,7 @@ def test_triple_invariant_matches_net_determinant_fit():
         )
         coef, *_ = np.linalg.lstsq(design, dets, rcond=None)
         inv = coplanar_triad(*cs)
-        assert coef[-1] == pytest.approx(inv.i_ijk / 2.0, rel=1e-8)
+        assert coef[-1] == pytest.approx(inv[6] / 2.0, rel=1e-8)
 
 
 # -- non-coplanar -------------------------------------------------------------
@@ -309,7 +309,7 @@ def test_descriptor_sorted_three():
 
 
 def test_descriptor_sorted_seven():
-    inv = CoplanarInvariants7(4.0, 3.0, 5.0, 6.0, 7.0, 8.0, 9.0)
+    inv = np.array([4.0, 3.0, 5.0, 6.0, 7.0, 8.0, 9.0])
     d = make_descriptor(inv, "sorted", ("a", "b", "c"))
     # min of (4, 3, 5) is at position 1 -> rotate labels by one step
     assert np.allclose(d.values, [3.0, 5.0, 4.0, 7.0, 8.0, 6.0, 9.0])
@@ -324,9 +324,9 @@ def test_descriptor_p2_cyclic_bit_identity():
         d0 = make_descriptor(j, "p2", ids)
         d1 = make_descriptor((j[1], j[2], j[0]), "p2", ("y", "z", "x"))
         assert np.array_equal(d0.values, d1.values)
-    inv = CoplanarInvariants7(*rng.uniform(2, 9, 7))
+    inv = rng.uniform(2, 9, 7)
     d0 = make_descriptor(inv, "p2", ("x", "y", "z"))
-    d1 = make_descriptor(inv.cycled(1), "p2", ("y", "z", "x"))
+    d1 = make_descriptor(rotate_descriptor_values(inv, 1), "p2", ("y", "z", "x"))
     assert np.allclose(d0.values, d1.values, atol=1e-12)
 
 
@@ -343,7 +343,7 @@ def test_descriptor_p2_detects_odd_permutation():
 
 
 def test_descriptor_seven_p2_layout():
-    inv = CoplanarInvariants7(4.0, 3.0, 5.0, 6.0, 7.0, 8.0, 9.0)
+    inv = np.array([4.0, 3.0, 5.0, 6.0, 7.0, 8.0, 9.0])
     d = make_descriptor(inv, "p2", ("a", "b", "c"))
     assert d.values.shape == (7,)
     assert d.values[0] == pytest.approx(12.0)  # F1 of first triple
@@ -357,7 +357,31 @@ def test_descriptor_seven_p2_layout():
 
 def test_ordered_cyclic_relabels_are_rotations():
     rng = np.random.default_rng(9)
-    inv = CoplanarInvariants7(*rng.uniform(2, 9, 7))
-    base = make_descriptor(inv, "ordered", ("a", "b", "c")).values
-    cyc = make_descriptor(inv.cycled(1), "ordered", ("b", "c", "a")).values
+    ci, cj, ck = (_norm_conic(random_ellipse(rng)) for _ in range(3))
+    base = make_descriptor(coplanar_triad(ci, cj, ck), "ordered", ("a", "b", "c")).values
+    cyc = make_descriptor(coplanar_triad(cj, ck, ci), "ordered", ("b", "c", "a")).values
     assert np.allclose(cyc, rotate_descriptor_values(base, 1))
+
+
+@pytest.mark.parametrize("dim", [3, 7])
+@pytest.mark.parametrize("convention", ["ordered", "sorted", "p2"])
+def test_query_rotations_meet_the_stored_descriptor(convention, dim):
+    # The image sees a catalogue triad (A, B, C) with its labels cycled s
+    # steps.  One query must equal the stored descriptor bit for bit, at the
+    # rotation r that identify uses to pair image label (r + m) % 3 with the
+    # entry's m-th crater; p2 queries once, with rotation None.
+    rng = np.random.default_rng(12)
+    ids = ("A", "B", "C")
+    for _ in range(100):
+        inv = rng.uniform(-60.0, 60.0, dim)
+        stored = make_descriptor(inv, convention, ids)
+        for s in range(3):
+            image_ids = ids[s:] + ids[:s]
+            queries = dict(query_rotations(rotate_descriptor_values(inv, s), convention))
+            maps = [
+                r for r in range(3)
+                if all(image_ids[(r + m) % 3] == stored.ids[m] for m in range(3))
+            ]
+            assert len(maps) == 1
+            key = None if convention == "p2" else maps[0]
+            assert queries[key].tobytes() == stored.values.tobytes()

@@ -156,6 +156,37 @@ def test_synth_scene_far_side_invisible(patch_records, apollo_camera):
     assert dets == []
 
 
+def test_synth_scene_projects_each_crater_once(
+    monkeypatch, patch_records, patch_pose, apollo_camera
+):
+    # Each rim is projected at most once, and the kept ones are exactly
+    # those that crater_visible accepts.
+    import craterid.camera as camera_mod
+    import craterid.pipeline as pipeline_mod
+
+    geom = SceneGeometry.build(patch_records)
+    visible = [
+        r.id
+        for r, f, q in zip(geom.records, geom.frames, geom.quadrics)
+        if camera_mod.crater_visible(patch_pose, apollo_camera, f, q)
+    ]
+    real = camera_mod.project_disk_quadric
+    projected = []
+
+    def counting(p, q):
+        projected.append(id(q))
+        return real(p, q)
+
+    monkeypatch.setattr(camera_mod, "project_disk_quadric", counting)
+    monkeypatch.setattr(pipeline_mod, "project_disk_quadric", counting)
+    dets, truth = synth_scene(
+        patch_records, patch_pose, apollo_camera, 0.0, np.random.default_rng(0), geometry=geom
+    )
+    assert len(dets) >= 3
+    assert len(projected) == len(set(projected))
+    assert [truth[i] for i in range(len(dets))] == visible
+
+
 def test_scene_geometry_builds_each_frame_once(monkeypatch, patch_records):
     import craterid.crater3d as crater3d_mod
     import craterid.pipeline as pipeline_mod
@@ -334,6 +365,19 @@ def test_detections_round_trip_property(rows, truth):
         Detection(printed(d.uc), printed(d.vc), printed(d.a), printed(d.b), printed(d.psi, ".9f"))
         for d in dets
     ]
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["nan,100,5,4,0.1", "100,inf,5,4,0.1", "100,100,5,4,nan", "100,100,4,5,0.1", "100,100,5,0,0.1"],
+)
+def test_load_detections_rejects_bad_values_at_their_line(tmp_path, row):
+    f = tmp_path / "dets.csv"
+    f.write_text("u_c,v_c,a_px,b_px,psi_rad\n200,200,40,30,0.1\n" + row + "\n")
+    from craterid.errors import SchemaError
+
+    with pytest.raises(SchemaError, match=f"{f}:3: "):
+        load_detections(f)
 
 
 def test_detections_schema_error(tmp_path):
