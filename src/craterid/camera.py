@@ -77,8 +77,9 @@ class CameraPose:
         t = np.asarray(self.t_mc, dtype=float)
         if t.shape != (3, 3):
             raise ValueError("attitude must be 3x3")
-        if not np.allclose(t @ t.T, np.eye(3), atol=1e-9) or np.linalg.det(t) < 0.0:
-            raise ValueError("attitude must be a proper rotation")
+        # An absolute bound: allclose's relative term would let (1 + 4e-6) I pass.
+        if not np.abs(t @ t.T - np.eye(3)).max() <= 1e-9 or np.linalg.det(t) < 0.0:
+            raise ValueError("attitude must be a proper rotation (T T^T = I to 1e-9, det T > 0)")
         object.__setattr__(self, "t_mc", t)
         object.__setattr__(self, "r_m", np.asarray(self.r_m, dtype=float).reshape(3))
 

@@ -17,7 +17,6 @@ import numpy as np
 from . import LUNAR_RADIUS_KM
 from .camera import (
     CAMERA_KEYS,
-    CameraPose,
     parse_camera_file,
     pose_above,
     quaternion_to_matrix,
@@ -65,13 +64,12 @@ _CAMERA_HELP = "camera file, 'key value' lines: " + ", ".join(CAMERA_KEYS)
 
 def _parse_attitude(spec: str) -> np.ndarray:
     """Attitude from 'qx,qy,qz,qw' (scalar-last) or 9 row-major numbers,
-    either inline or in a file."""
+    either inline or in a file; ``IdentifyRequest`` checks the rotation."""
     text = Path(spec).read_text() if Path(spec).exists() else spec
     try:
         vals = [float(v) for v in text.replace(",", " ").split()]
         if len(vals) in (4, 9):
-            t = quaternion_to_matrix(vals) if len(vals) == 4 else np.reshape(vals, (3, 3))
-            return CameraPose(t_mc=t, r_m=np.zeros(3)).t_mc  # CameraPose checks the rotation
+            return quaternion_to_matrix(vals) if len(vals) == 4 else np.reshape(vals, (3, 3))
     except ValueError as exc:
         raise CraterIdError(f"bad attitude {spec!r}: {exc}") from exc
     raise CraterIdError("attitude needs 4 (quaternion) or 9 (matrix) numbers")
@@ -139,8 +137,6 @@ def _cmd_build_index(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    if args.n_candidates < 1:
-        raise CraterIdError("--n-candidates must be at least 1")
     try:
         gate = GateConfig(sigma_img=args.sigma_img, threshold=args.threshold)
     except ValueError as exc:

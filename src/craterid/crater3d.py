@@ -2,9 +2,9 @@
 
 A crater is a planar elliptical rim.  From a catalog record we build the
 selenographic rim center, a local East-North-Up frame, the supporting plane,
-the plane-to-Moon homography basis, and the rank-3 disk quadric that encodes
-the rim as a quadric envelope.  Kilometers and radians throughout; degrees
-only at I/O boundaries.
+the plane-to-Moon homography basis, the rim conic in plane coordinates, and
+the rank-3 disk quadric that encodes the rim as a quadric envelope.
+Kilometers and radians throughout; degrees only at I/O boundaries.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "plane_offset",
     "build_frame",
     "disk_quadric",
+    "conic_disk_quadric",
     "disk_quadric_from_plane_frame",
     "sphere_quadric",
 ]
@@ -79,7 +80,8 @@ class CraterRecord:
 
 @dataclass(frozen=True)
 class CraterFrame:
-    """Derived 3D geometry of one crater."""
+    """Derived 3D geometry of one crater; the disk quadric, the pose solve and
+    the index's tangent-plane conics read the rim from ``conic``."""
 
     p_c: np.ndarray  # selenographic rim center, km
     e: np.ndarray
@@ -88,6 +90,7 @@ class CraterFrame:
     t_em: np.ndarray  # 3x3, ENU -> selenographic
     pi: np.ndarray  # 4-vector plane coefficients
     h_m: np.ndarray  # 3x3 homography basis [t1 t2 p_c]
+    conic: np.ndarray  # 3x3 rim conic in plane coordinates (axes t_em[:, :2], origin p_c)
 
 
 @dataclass(frozen=True)
@@ -149,25 +152,26 @@ def build_frame(rec: CraterRecord, radius: float = LUNAR_RADIUS_KM) -> CraterFra
     e, n, u, t_em = enu_frame(p_c)
     pi = crater_plane(u, rho)
     h_m = np.column_stack([t_em[:, 0], t_em[:, 1], p_c])
-    return CraterFrame(p_c=p_c, e=e, n=n, u=u, t_em=t_em, pi=pi, h_m=h_m)
+    conic = ellipse_to_conic(EllipseParams(a=rec.a, b=rec.b, psi=rec.psi))
+    return CraterFrame(p_c=p_c, e=e, n=n, u=u, t_em=t_em, pi=pi, h_m=h_m, conic=conic)
 
 
-def _disk_quadric_from_h(h_m: np.ndarray, a: float, b: float, psi: float) -> np.ndarray:
-    envelope = adjugate(ellipse_to_conic(EllipseParams(a=a, b=b, psi=psi)))
+def conic_disk_quadric(h_m: np.ndarray, conic: np.ndarray) -> np.ndarray:
+    """Rank-3 4x4 quadric envelope of the plane rim ``conic`` placed in space
+    by the basis ``h_m = [t1 t2 center]``.
+
+    Planes ``pi`` tangent to the rim satisfy ``pi^T Q pi = 0``.
+    """
     basis = np.vstack([h_m, np.array([0.0, 0.0, 1.0])])
-    q = basis @ envelope @ basis.T
+    q = basis @ adjugate(conic) @ basis.T
     return 0.5 * (q + q.T)
 
 
 def disk_quadric(rec: CraterRecord, radius: float = LUNAR_RADIUS_KM) -> np.ndarray:
-    """Rank-3 4x4 quadric envelope of the crater rim.
-
-    Planes ``pi`` tangent to the rim satisfy ``pi^T Q pi = 0``.  The rim
-    ellipse is placed in the crater's ENU plane with ``psi`` measured from
-    East.
-    """
+    """Disk quadric of the crater rim: the ellipse lies in the crater's ENU
+    plane with ``psi`` measured from East."""
     frame = build_frame(rec, radius)
-    return _disk_quadric_from_h(frame.h_m, rec.a, rec.b, rec.psi)
+    return conic_disk_quadric(frame.h_m, frame.conic)
 
 
 def disk_quadric_from_plane_frame(
@@ -185,7 +189,7 @@ def disk_quadric_from_plane_frame(
     polar test configurations).
     """
     h_m = np.column_stack([t1, t2, center])
-    return _disk_quadric_from_h(h_m, a, b, psi)
+    return conic_disk_quadric(h_m, ellipse_to_conic(EllipseParams(a=a, b=b, psi=psi)))
 
 
 def sphere_quadric(radius: float = LUNAR_RADIUS_KM) -> LunarQuadric:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .camera import Intrinsics, look_at_pose, projection_matrix, project_disk_quadric
-from .conic2d import EllipseParams, ellipse_to_conic, normalize_unit_det
+from .conic2d import normalize_unit_det
 from .crater3d import (
     LUNAR_RADIUS_KM,
     CraterRecord,
@@ -349,27 +349,21 @@ def enumerate_triads(
     return out
 
 
-def _tangent_plane_conics(
-    recs: list[CraterRecord],
-    frames: list,
-    mean_dir: np.ndarray,
-    radius: float,
-) -> list[np.ndarray]:
+def _tangent_plane_conics(frames: list, mean_dir: np.ndarray, radius: float) -> list[np.ndarray]:
     """Orthogonal projection of three rims onto the tangent plane at the
     triad mean direction, as det-normalized 2D conics."""
     e, n = _tangent_basis(mean_dir)
     basis = np.column_stack([e, n])
     origin = radius * mean_dir
     out = []
-    for rec, frame in zip(recs, frames):
+    for frame in frames:
         m2 = basis.T @ frame.t_em[:, :2]  # in-plane axes -> tangent plane
         t0 = basis.T @ (frame.p_c - origin)
         m = np.eye(3)
         m[:2, :2] = m2
         m[:2, 2] = t0
-        c = ellipse_to_conic(EllipseParams(a=rec.a, b=rec.b, psi=rec.psi))
         mi = np.linalg.inv(m)
-        out.append(normalize_unit_det(mi.T @ c @ mi))
+        out.append(normalize_unit_det(mi.T @ frame.conic @ mi))
     return out
 
 
@@ -465,9 +459,7 @@ def build_index(
         mean = mean / np.linalg.norm(mean)
         try:
             if coplanar:
-                cs = _tangent_plane_conics(
-                    recs, [frames[t] for t in tri], mean, radius
-                )
+                cs = _tangent_plane_conics([frames[t] for t in tri], mean, radius)
                 inv = coplanar_triad(*cs)
             else:
                 cs = _canonical_view_conics([quads[t] for t in tri], mean, radius)

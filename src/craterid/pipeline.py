@@ -32,13 +32,13 @@ from .crater3d import (
     CraterRecord,
     build_frame,
     crater_center,
-    disk_quadric_from_plane_frame,
+    conic_disk_quadric,
 )
 from .errors import CraterIdError, InvalidAxesError, SchemaError
 from .index import DescriptorIndex, read_csv_rows
 from .invariants import coplanar_triad, noncoplanar_triad, query_rotations
 from .metrics import GateConfig, gaussian_angle, gate_statistic
-from .pose import ConicCorrespondence, solve_position
+from .pose import moon_conic, solve_position
 
 __all__ = [
     "Detection",
@@ -95,10 +95,7 @@ class SceneGeometry:
         cls, records: Sequence[CraterRecord], radius: float = LUNAR_RADIUS_KM
     ) -> "SceneGeometry":
         frames = [build_frame(r, radius) for r in records]
-        quads = [
-            disk_quadric_from_plane_frame(f.t_em[:, 0], f.t_em[:, 1], f.p_c, r.a, r.b, r.psi)
-            for r, f in zip(records, frames)
-        ]
+        quads = [conic_disk_quadric(f.h_m, f.conic) for f in frames]
         by_id = {r.id: (r, f, q) for r, f, q in zip(records, frames, quads)}
         return cls(
             records=tuple(records),
@@ -112,7 +109,8 @@ class SceneGeometry:
 
 @dataclass
 class IdentifyRequest:
-    """Inputs to one identification attempt."""
+    """Inputs to one identification attempt; construction checks ``n_candidates``
+    and the attitude (``CameraPose``'s rotation rule), raising ``CraterIdError``."""
 
     detections: Sequence[Detection]
     intrinsics: Intrinsics
@@ -124,6 +122,14 @@ class IdentifyRequest:
     max_triads: int = 2000
     verify: bool = True  # False accepts the first NN hit (diagnostics only)
     geometry: SceneGeometry | None = None
+
+    def __post_init__(self):
+        if self.n_candidates < 1:
+            raise CraterIdError("n_candidates (--n-candidates) must be at least 1")
+        try:
+            self.attitude = CameraPose(t_mc=self.attitude, r_m=np.zeros(3)).t_mc
+        except ValueError as exc:
+            raise CraterIdError(f"attitude: {exc}") from exc
 
 
 @dataclass
@@ -179,68 +185,43 @@ def _observation_descriptor(index: DescriptorIndex, conics: list[np.ndarray]) ->
 
 def _verify_hypothesis(
     req: IdentifyRequest,
-    obs_order: list[int],
-    rotation: int,
-    entry_ids: tuple[str, str, str],
+    pairs: list[tuple[int, str]],
     geometry: SceneGeometry,
     conics: list[np.ndarray],
+    moon_conics: list[np.ndarray],
     radius: float,
 ) -> MatchResult | None:
-    """Pose + reprojection verification of one label assignment."""
-    assign: dict[int, str] = {}
-    corrs = []
-    quads = []
-    dets_for = []
-    for m in range(3):
-        det_idx = obs_order[(rotation + m) % 3]
-        cid = entry_ids[m]
-        item = geometry.by_id.get(cid)
-        if item is None:
-            return None
-        rec, frame, quad = item
-        assign[det_idx] = cid
-        corrs.append(
-            ConicCorrespondence(
-                image_conic=conics[(rotation + m) % 3], crater=rec, frame=frame
-            )
-        )
-        quads.append(quad)
-        dets_for.append(req.detections[det_idx])
+    """Pose + reprojection verification of one (detection index, crater id)
+    assignment; ``conics`` and ``moon_conics`` are indexed by detection."""
+    if not all(cid in geometry.by_id for _, cid in pairs):
+        return None
+    det_idx = [k for k, _ in pairs]
+    _, frames, quads = zip(*(geometry.by_id[cid] for _, cid in pairs))
     try:
-        est = solve_position(corrs, req.attitude, req.intrinsics, radius)
+        est = solve_position([(moon_conics[k], f) for k, f in zip(det_idx, frames)], radius)
     except CraterIdError:
         return None
     if est.inside_moon:
         return None
     if not req.verify:
-        return MatchResult(
-            status="matched",
-            correspondences=assign,
-            r_m=est.r_m,
-            per_crater=[],
-        )
-    pose = CameraPose(t_mc=req.attitude, r_m=est.r_m)
-    p = projection_matrix(req.intrinsics, pose)
+        return MatchResult(status="matched", correspondences=dict(pairs), r_m=est.r_m)
+    p = projection_matrix(req.intrinsics, CameraPose(t_mc=req.attitude, r_m=est.r_m))
     try:
         d = np.array(
-            [
-                gaussian_angle(project_disk_quadric(p, quad), corr.image_conic)
-                for corr, quad in zip(corrs, quads)
-            ]
+            [gaussian_angle(project_disk_quadric(p, q), conics[k]) for k, q in zip(det_idx, quads)]
         )
     except CraterIdError:
         return None
-    stat = gate_statistic(
-        d, [det.a for det in dets_for], [det.b for det in dets_for], req.gate.sigma_img
-    )
+    fits = [req.detections[k] for k in det_idx]
+    stat = gate_statistic(d, [f.a for f in fits], [f.b for f in fits], req.gate.sigma_img)
     if np.any(stat > req.gate.threshold):
         return None
     per_crater = [
-        {"crater_id": corr.crater.id, "d_ga": float(dk), "stat": float(sk)}
-        for corr, dk, sk in zip(corrs, d, stat)
+        {"crater_id": cid, "d_ga": float(dk), "stat": float(sk)}
+        for (_, cid), dk, sk in zip(pairs, d, stat)
     ]
     return MatchResult(
-        status="matched", correspondences=assign, r_m=est.r_m, per_crater=per_crater
+        status="matched", correspondences=dict(pairs), r_m=est.r_m, per_crater=per_crater
     )
 
 
@@ -251,19 +232,18 @@ def identify(req: IdentifyRequest) -> MatchResult:
     geometry = req.geometry or SceneGeometry.build(
         req.catalog, req.indexes[0].radius if req.indexes else LUNAR_RADIUS_KM
     )
-    conic_cache = [d.conic() for d in req.detections]
+    conics = [d.conic() for d in req.detections]
+    moon_conics = [moon_conic(c, req.attitude, req.intrinsics) for c in conics]
     tried = 0
     for triple in eps_enumerate(len(req.detections)):
         if tried >= req.max_triads:
             break
         tried += 1
-        dets3 = [req.detections[t] for t in triple]
-        order_local = clockwise_image_order(dets3)
-        obs_order = [triple[o] for o in order_local]
-        conics = [conic_cache[t] for t in obs_order]
+        obs_order = [triple[o] for o in clockwise_image_order([req.detections[t] for t in triple])]
+        triad_conics = [conics[t] for t in obs_order]
         for index in req.indexes:
             try:
-                base = _observation_descriptor(index, conics)
+                base = _observation_descriptor(index, triad_conics)
             except CraterIdError:
                 continue
             for rotation, query_vec in query_rotations(base, index.scale.convention):
@@ -274,8 +254,9 @@ def identify(req: IdentifyRequest) -> MatchResult:
                 for _dist, entry in hits:
                     rotations = (rotation,) if rotation is not None else (0, 1, 2)
                     for r in rotations:
+                        pairs = [(obs_order[(r + m) % 3], cid) for m, cid in enumerate(entry.ids)]
                         result = _verify_hypothesis(
-                            req, obs_order, r, entry.ids, geometry, conics, index.radius
+                            req, pairs, geometry, conics, moon_conics, index.radius
                         )
                         if result is not None:
                             result.triads_tried = tried
@@ -534,8 +515,11 @@ def format_cells(cells: Sequence[MonteCarloCell]) -> str:
 
 
 def cells_to_jsonl(cells: Sequence[MonteCarloCell]) -> str:
-    """Line-delimited machine-readable records, keyed by the cell's field names."""
-    return "\n".join(json.dumps(asdict(c), sort_keys=True) for c in cells) + "\n"
+    """Line-delimited JSON records, keyed by the cell's field names; the NaN
+    errors of a cell without a correct match are written as null."""
+
+    rows = ({k: None if math.isnan(v) else v for k, v in asdict(c).items()} for c in cells)
+    return "\n".join(json.dumps(r, sort_keys=True, allow_nan=False) for r in rows) + "\n"
 
 
 # ---------------------------------------------------------------------------

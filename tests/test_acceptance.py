@@ -39,7 +39,7 @@ from craterid.pipeline import (
     synth_scene,
 )
 from craterid.pipeline import _trial_pose
-from craterid.pose import ConicCorrespondence, solve_position
+from craterid.pose import moon_conic, solve_position
 
 from conftest import (
     acceptance_report as _report,
@@ -293,18 +293,12 @@ def _pose_trial(rng, catalog, geometry, intr, altitude, sigma_img, radius=LUNAR_
     dets, truth = synth_scene(catalog, pose, intr, sigma_img, rng, radius, geometry)
     if len(dets) < 3:
         return None
-    by_id = {r.id: r for r in catalog}
-    corrs = []
-    for i in list(truth)[:3]:
-        det = dets[i]
-        rec = by_id[truth[i]]
-        corrs.append(
-            ConicCorrespondence(
-                image_conic=det.conic(), crater=rec, frame=geometry.by_id[rec.id][1]
-            )
-        )
+    pairs = [
+        (moon_conic(dets[i].conic(), pose.t_mc, intr), geometry.by_id[truth[i]][1])
+        for i in list(truth)[:3]
+    ]
     try:
-        est = solve_position(corrs, pose.t_mc, intr)
+        est = solve_position(pairs)
     except CraterIdError:
         return None
     return 1000.0 * float(np.linalg.norm(est.r_m - pose.r_m))

@@ -279,3 +279,14 @@ def test_pose_validation():
         CameraPose(t_mc=np.eye(3) * 2.0, r_m=np.zeros(3))
     with pytest.raises(ValueError):
         CameraPose(t_mc=np.diag([1.0, 1.0, -1.0]), r_m=np.zeros(3))
+
+
+def test_pose_validation_bound_is_absolute():
+    # np.allclose's relative term would accept (1 + 4e-6) I: T T^T is 8e-6 off I.
+    with pytest.raises(ValueError):
+        CameraPose(t_mc=(1.0 + 4e-6) * np.eye(3), r_m=np.zeros(3))
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        r_m, target, up = rng.normal(size=(3, 3))
+        pose = look_at_pose(r_m, target, up_hint=up)
+        assert np.array_equal(CameraPose(t_mc=pose.t_mc, r_m=r_m).t_mc, pose.t_mc)

@@ -245,6 +245,27 @@ def test_montecarlo_bad_config(
         assert part in line
 
 
+def test_montecarlo_n_candidates_below_one(
+    tmp_path, camera_file, catalog_file, index_file, capsys
+):
+    # The config passes n_candidates through to IdentifyRequest, which refuses it.
+    cfg = tmp_path / "mc.txt"
+    cfg.write_text("trials 1\naltitude_km 150\nnoise_px 0.5\nn_candidates 0\n")
+    rc = main(
+        [
+            "montecarlo",
+            "--catalog", str(catalog_file),
+            "--camera", str(camera_file),
+            "--index", str(index_file),
+            "--config", str(cfg),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    (line,) = _error_lines(err)
+    assert "n_candidates" in line
+
+
 def test_montecarlo_cli(tmp_path, camera_file, catalog_file, index_file, capsys):
     cfg = tmp_path / "mc.txt"
     cfg.write_text("trials 2\naltitude_km 150\nnoise_px 0.0,0.5\nseed 3\n")

@@ -1,3 +1,4 @@
+import json
 import tempfile
 from itertools import combinations
 from pathlib import Path
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 from craterid.camera import look_at_pose, projection_matrix
 from craterid.conic2d import conic_to_ellipse
 from craterid.crater3d import LUNAR_RADIUS_KM, crater_center
+from craterid.errors import CraterIdError
 from craterid.index import build_index
 from craterid.metrics import GateConfig
 from craterid.pipeline import (
     Detection,
     IdentifyRequest,
+    MonteCarloCell,
     MonteCarloConfig,
     SceneGeometry,
     cells_to_jsonl,
@@ -231,6 +234,27 @@ def _patch_request(dets, pose, intr, idx, catalog, sigma=0.25, **kw):
     )
 
 
+def test_identify_request_checks_its_inputs(apollo_camera):
+    def request(**changes):
+        fields = dict(
+            detections=[Detection(100, 100, 30, 20, 0.1)] * 3,
+            intrinsics=apollo_camera,
+            attitude=np.eye(3),
+            indexes=[],
+            catalog=[],
+            gate=GateConfig(sigma_img=0.5),
+        )
+        return IdentifyRequest(**(fields | changes))
+
+    # With no index to search, a bad attitude used to end in no-match.
+    with pytest.raises(CraterIdError, match="attitude"):
+        request(attitude=2.0 * np.eye(3))
+    for n in (0, -1):
+        with pytest.raises(CraterIdError, match="n_candidates"):
+            request(n_candidates=n)
+    assert identify(request()).status == "no-match"
+
+
 def test_identify_insufficient(patch_index, patch_pose, apollo_camera, patch_records):
     req = _patch_request(
         [Detection(100, 100, 30, 20, 0.1)], patch_pose, apollo_camera, patch_index, patch_records
@@ -411,3 +435,18 @@ def test_monte_carlo_deterministic(patch_index, patch_records, apollo_camera):
     for c in cells1:
         assert c.trials == 4
         assert c.correct + c.incorrect + c.no_match + c.insufficient == 4
+
+
+def test_cells_to_jsonl_is_strict_json():
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    nan = float("nan")
+    cells = [
+        MonteCarloCell(0.5, 0.0, 2, 0, 0, 2, 0, nan, nan),
+        MonteCarloCell(0.5, 30.0, 2, 2, 0, 0, 0, 12.5, 13.0),
+    ]
+    rows = [json.loads(line, parse_constant=refuse) for line in cells_to_jsonl(cells).splitlines()]
+    assert rows[0]["median_err_m"] is None and rows[0]["rms_err_m"] is None
+    assert (rows[1]["median_err_m"], rows[1]["rms_err_m"], rows[1]["correct"]) == (12.5, 13.0, 2)
+    assert "nan m" in format_cells(cells)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from craterid.camera import Intrinsics, k_matrix, look_at_pose, projection_matrix, project_disk_quadric
-from craterid.crater3d import LUNAR_RADIUS_KM, CraterRecord, crater_center, disk_quadric
+from craterid.crater3d import LUNAR_RADIUS_KM, CraterRecord, build_frame, crater_center, disk_quadric
 from craterid.errors import RankDeficientGeometryError
-from craterid.pose import ConicCorrespondence, estimate_scale, solve_position
+from craterid.pose import _scale_and_block, moon_conic, solve_position
 
 
 def _scene(rng, altitude, n_craters=3, a_range=(5, 12), spread_deg=2.0):
-    """Random nadir view with n visible craters; returns pose, intr, corrs."""
+    """Random nadir view with n visible craters; returns pose, intr and
+    (image conic, crater) views."""
     radius = LUNAR_RADIUS_KM
     lat0 = rng.uniform(-0.8, 0.8)
     lon0 = rng.uniform(-np.pi, np.pi)
@@ -17,7 +18,7 @@ def _scene(rng, altitude, n_craters=3, a_range=(5, 12), spread_deg=2.0):
     intr = Intrinsics(dx=1467.2, dy=1467.2, up=1099.5, vp=1099.5, rows=2200, cols=2200)
     p = projection_matrix(intr, pose)
     spread = np.deg2rad(spread_deg) * altitude / 150.0
-    recs, corrs = [], []
+    recs, views = [], []
     while len(recs) < n_craters:
         a = rng.uniform(*a_range)
         rec = CraterRecord(
@@ -33,8 +34,18 @@ def _scene(rng, altitude, n_craters=3, a_range=(5, 12), spread_deg=2.0):
         except Exception:
             continue
         recs.append(rec)
-        corrs.append(ConicCorrespondence.from_record(conic, rec))
-    return pose, intr, corrs
+        views.append((conic, rec))
+    return pose, intr, views
+
+
+def _pairs(views, t_mc, intr):
+    """The (Moon-frame conic, frame) pairs that solve_position takes."""
+    return [(moon_conic(conic, t_mc, intr), build_frame(rec)) for conic, rec in views]
+
+
+def _scale(image_conic, rec, t_mc, intr):
+    """Homography scale of one crater, from solve_position's own helper."""
+    return _scale_and_block(moon_conic(image_conic, t_mc, intr), build_frame(rec))[0]
 
 
 def test_estimate_scale_consistency():
@@ -44,42 +55,38 @@ def test_estimate_scale_consistency():
     from craterid.camera import crater_homography
 
     for _ in range(50):
-        pose, intr, corrs = _scene(rng, 150.0)
-        for corr in corrs:
-            s_hat = estimate_scale(corr, pose.t_mc, intr)
+        pose, intr, views = _scene(rng, 150.0)
+        for conic, rec in views:
+            s_hat = _scale(conic, rec, pose.t_mc, intr)
             p = projection_matrix(intr, pose)
-            h = crater_homography(p, corr.frame)
-            lhs = h.T @ corr.image_conic @ h
-            rhs = s_hat * corr.plane_conic()
+            frame = build_frame(rec)
+            h = crater_homography(p, frame)
+            lhs = h.T @ conic @ h
+            rhs = s_hat * frame.conic
             assert np.allclose(lhs, rhs, atol=1e-9 * np.abs(lhs).max())
 
 
 def test_estimate_scale_linearity():
     rng = np.random.default_rng(1)
-    pose, intr, corrs = _scene(rng, 150.0)
-    corr = corrs[0]
-    s1 = estimate_scale(corr, pose.t_mc, intr)
-    scaled = ConicCorrespondence(
-        image_conic=5.0 * corr.image_conic, crater=corr.crater, frame=corr.frame
-    )
-    assert estimate_scale(scaled, pose.t_mc, intr) == pytest.approx(5.0 * s1, rel=1e-12)
+    pose, intr, views = _scene(rng, 150.0)
+    conic, rec = views[0]
+    s1 = _scale(conic, rec, pose.t_mc, intr)
+    assert _scale(5.0 * conic, rec, pose.t_mc, intr) == pytest.approx(5.0 * s1, rel=1e-12)
 
 
 def test_scale_signs_consistent_across_triad():
     rng = np.random.default_rng(2)
     for _ in range(100):
-        pose, intr, corrs = _scene(rng, 150.0)
-        signs = {
-            np.sign(estimate_scale(c, pose.t_mc, intr)) for c in corrs
-        }
+        pose, intr, views = _scene(rng, 150.0)
+        signs = {np.sign(_scale(conic, rec, pose.t_mc, intr)) for conic, rec in views}
         assert len(signs) == 1
 
 
 def test_zero_noise_position_recovery():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        pose, intr, corrs = _scene(rng, 150.0)
-        est = solve_position(corrs, pose.t_mc, intr)
+        pose, intr, views = _scene(rng, 150.0)
+        est = solve_position(_pairs(views, pose.t_mc, intr))
         err_km = np.linalg.norm(est.r_m - pose.r_m)
         assert err_km <= 1e-6  # 1 mm
         assert not est.inside_moon
@@ -88,33 +95,31 @@ def test_zero_noise_position_recovery():
 def test_two_crater_solution_matches_three():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        pose, intr, corrs = _scene(rng, 150.0)
-        e3 = solve_position(corrs, pose.t_mc, intr)
-        e2 = solve_position(corrs[:2], pose.t_mc, intr)
+        pose, intr, views = _scene(rng, 150.0)
+        pairs = _pairs(views, pose.t_mc, intr)
+        e3 = solve_position(pairs)
+        e2 = solve_position(pairs[:2])
         assert np.allclose(e2.r_m, e3.r_m, atol=1e-6)
 
 
 def test_equivariance_under_global_rotation():
     rng = np.random.default_rng(5)
-    pose, intr, corrs = _scene(rng, 150.0)
-    est = solve_position(corrs, pose.t_mc, intr)
+    pose, intr, views = _scene(rng, 150.0)
+    est = solve_position(_pairs(views, pose.t_mc, intr))
     # Rotate the whole scene: craters and attitude.
     th = 0.7
     rot = np.array(
         [[np.cos(th), -np.sin(th), 0.0], [np.sin(th), np.cos(th), 0.0], [0.0, 0.0, 1.0]]
     )
     rotated = []
-    for corr in corrs:
-        rec = corr.crater
-        c_new = rot @ corr.frame.p_c
+    for conic, rec in views:
+        c_new = rot @ build_frame(rec).p_c
         lat = np.arcsin(c_new[2] / np.linalg.norm(c_new))
         lon = np.arctan2(c_new[1], c_new[0])
         # East-referenced orientation is preserved by a rotation about the pole.
         rec2 = CraterRecord(rec.id, lat, lon, rec.a, rec.b, rec.psi)
-        rotated.append(
-            ConicCorrespondence.from_record(corr.image_conic, rec2)
-        )
-    est2 = solve_position(rotated, pose.t_mc @ rot.T, intr)
+        rotated.append((conic, rec2))
+    est2 = solve_position(_pairs(rotated, pose.t_mc @ rot.T, intr))
     assert np.allclose(est2.r_m, rot @ est.r_m, atol=1e-6)
 
 
@@ -122,12 +127,12 @@ def test_noise_error_band_150km():
     rng = np.random.default_rng(6)
     errs = []
     for _ in range(100):
-        pose, intr, corrs = _scene(rng, 150.0)
+        pose, intr, views = _scene(rng, 150.0)
         noisy = []
-        for corr in corrs:
+        for conic, rec in views:
             from craterid.conic2d import EllipseParams, conic_to_ellipse, ellipse_to_conic
 
-            e = conic_to_ellipse(corr.image_conic)
+            e = conic_to_ellipse(conic)
             while True:
                 da, db, du, dv = rng.normal(0, 0.5, 4)
                 if e.a + da >= e.b + db > 0:
@@ -135,12 +140,8 @@ def test_noise_error_band_150km():
             pert = ellipse_to_conic(
                 EllipseParams(e.a + da, e.b + db, e.xc + du, e.yc + dv, e.psi)
             )
-            noisy.append(
-                ConicCorrespondence(
-                    image_conic=pert, crater=corr.crater, frame=corr.frame
-                )
-            )
-        est = solve_position(noisy, pose.t_mc, intr)
+            noisy.append((pert, rec))
+        est = solve_position(_pairs(noisy, pose.t_mc, intr))
         errs.append(np.linalg.norm(est.r_m - pose.r_m) * 1000.0)
     med = float(np.median(errs))
     assert 30.0 <= med <= 500.0, med
@@ -148,18 +149,18 @@ def test_noise_error_band_150km():
 
 def test_rank_deficient_geometry():
     rng = np.random.default_rng(7)
-    pose, intr, corrs = _scene(rng, 150.0, n_craters=1)
-    dup = [corrs[0], corrs[0]]
+    pose, intr, views = _scene(rng, 150.0, n_craters=1)
+    pairs = _pairs(views, pose.t_mc, intr)
     with pytest.raises(RankDeficientGeometryError):
-        solve_position(dup, pose.t_mc, intr)
+        solve_position([pairs[0], pairs[0]])
     with pytest.raises(ValueError):
-        solve_position(corrs[:1], pose.t_mc, intr)
+        solve_position(pairs[:1])
 
 
 def test_inside_moon_flag():
     rng = np.random.default_rng(8)
-    pose, intr, corrs = _scene(rng, 150.0)
+    pose, intr, views = _scene(rng, 150.0)
     # Feed mirrored image conics so the solve lands somewhere implausible;
     # the flag must reflect the norm test, whatever the estimate is.
-    est = solve_position(corrs, pose.t_mc, intr)
+    est = solve_position(_pairs(views, pose.t_mc, intr))
     assert est.inside_moon == (np.linalg.norm(est.r_m) <= LUNAR_RADIUS_KM + 1.0)
