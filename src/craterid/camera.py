@@ -114,12 +114,19 @@ def project_disk_quadric(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     The envelope maps as ``A* = P Q P^T``; the locus is its adjugate.  Raises
     ``DegenerateViewError`` when the projection collapses (camera in the
     crater plane) and ``NotAnEllipseError`` when the apparent contour is not
-    an ellipse (crater seen edge-on or from behind).
+    an ellipse (crater seen edge-on or from behind).  Stacks of cameras
+    ``(..., 3, 4)`` and quadrics ``(..., 4, 4)`` broadcast; there an element
+    that would raise is NaN instead.
     """
-    env = p @ q @ p.T
-    env = 0.5 * (env + env.T)
+    env = p @ q @ p.mT
+    env = 0.5 * (env + env.mT)
     locus = adjugate(env)
-    if not is_proper_ellipse(locus):
+    ok = is_proper_ellipse(locus)
+    if env.ndim > 2:
+        # Only proper ellipses are normalized, as in a single projection.
+        proper = ok[..., None, None]
+        return np.where(proper, normalize_unit_det(np.where(proper, locus, np.eye(3))), np.nan)
+    if not ok:
         sv = np.linalg.svd(env, compute_uv=False)
         if sv[0] == 0.0 or sv[2] <= 1e-9 * sv[0]:
             raise DegenerateViewError("projected envelope is rank deficient")

@@ -4,6 +4,10 @@ Conics are represented by 3x3 real symmetric matrices of ambiguous scale
 (plain ``numpy`` arrays).  A point ``(x, y)`` lies on the conic when
 ``[x, y, 1] C [x, y, 1]^T = 0``; the adjugate of ``C`` plays the same role
 for tangent lines.  Lines are length-3 arrays, also of ambiguous scale.
+
+``is_proper_ellipse``, ``conic_center``, ``conic_det``, ``adjugate`` and
+``normalize_unit_det`` also take stacks ``(..., 3, 3)``; where a single conic
+raises, a stack marks the element False or NaN.
 """
 
 from __future__ import annotations
@@ -78,28 +82,35 @@ def ellipse_to_conic(e: EllipseParams) -> np.ndarray:
     )
 
 
-def is_proper_ellipse(c: np.ndarray) -> bool:
-    """True when ``c`` describes a real, non-degenerate ellipse.
+def is_proper_ellipse(c: np.ndarray):
+    """True where ``c`` describes a real, non-degenerate ellipse.
 
     Checks the ellipse discriminant and the classical realness condition
     ``det(C) * (A + C) < 0``; both are invariant under the ambiguous conic
-    scale (including its sign).
+    scale (including its sign).  A non-finite conic is not an ellipse.
     """
-    A, C = c[0, 0], c[1, 1]
-    B = 2.0 * c[0, 1]
-    if not np.all(np.isfinite(c)):
-        return False
-    if B * B - 4.0 * A * C >= 0.0:
-        return False
-    return np.linalg.det(c) * (A + C) < 0.0
+    c = np.asarray(c, dtype=float)
+    finite = np.isfinite(c).all(axis=(-2, -1))
+    if not (finite if c.ndim == 2 else finite.all()):
+        c = np.where(finite[..., None, None], c, 0.0)  # the zero matrix is no ellipse
+    A, C = c[..., 0, 0], c[..., 1, 1]
+    B = 2.0 * c[..., 0, 1]
+    return (B * B - 4.0 * A * C < 0.0) & (np.linalg.det(c) * (A + C) < 0.0)
 
 
 def conic_center(c: np.ndarray) -> np.ndarray:
     """Euclidean center of a central conic (scale-free)."""
-    try:
-        return np.linalg.solve(c[:2, :2], -c[:2, 2])
-    except np.linalg.LinAlgError as exc:
-        raise NotAnEllipseError("conic has no finite center") from exc
+    c = np.asarray(c, dtype=float)
+    if c.ndim == 2:
+        try:
+            return np.linalg.solve(c[:2, :2], -c[:2, 2])
+        except np.linalg.LinAlgError as exc:
+            raise NotAnEllipseError("conic has no finite center") from exc
+    finite = np.isfinite(c).all(axis=(-2, -1))
+    u = np.where(finite[..., None, None], c[..., :2, :2], np.eye(2))
+    central = finite & (u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0] != 0.0)
+    y = np.linalg.solve(np.where(central[..., None, None], u, np.eye(2)), -c[..., :2, 2:])
+    return np.where(central[..., None], y[..., 0], np.nan)
 
 
 def conic_to_ellipse(c: np.ndarray) -> EllipseParams:
@@ -136,52 +147,74 @@ def conic_to_ellipse(c: np.ndarray) -> EllipseParams:
     return EllipseParams(a=a, b=b, xc=center[0], yc=center[1], psi=psi)
 
 
-def conic_det(c: np.ndarray) -> float:
+def conic_det(c: np.ndarray):
     """Determinant of a central conic, evaluated without cancellation.
 
     The determinant is invariant under translation to the conic center,
     where the matrix is block diagonal: det = det(U) * (c22 + w . y).  For
     pixel-frame conics with large center coordinates this is many digits
-    more accurate than a direct 3x3 determinant.
+    more accurate than a direct 3x3 determinant.  A conic without a center
+    gets the direct determinant.
     """
-    u_det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
-    if u_det == 0.0:
-        return float(np.linalg.det(c))
-    y = np.linalg.solve(c[:2, :2], -c[:2, 2])
-    g0 = c[2, 2] + c[0, 2] * y[0] + c[1, 2] * y[1]
-    return float(u_det * g0)
+    if c.ndim == 2:
+        u_det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
+        if u_det == 0.0:
+            return float(np.linalg.det(c))
+        y = np.linalg.solve(c[:2, :2], -c[:2, 2])
+        return float(u_det * (c[2, 2] + c[0, 2] * y[0] + c[1, 2] * y[1]))
+    u_det = c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0]
+    y = conic_center(c)
+    d = u_det * (c[..., 2, 2] + c[..., 0, 2] * y[..., 0] + c[..., 1, 2] * y[..., 1])
+    central = u_det != 0.0
+    if not central.all():
+        with np.errstate(invalid="ignore"):
+            d = np.where(central, d, np.linalg.det(c))
+    return d
 
 
 def adjugate(m: np.ndarray) -> np.ndarray:
     """Adjugate of a 3x3 matrix, valid for singular input.
 
     Satisfies ``m @ adjugate(m) == det(m) * I``.  Written out explicitly;
-    this sits on the hot path of index construction.
+    this sits on the hot path of index construction.  The names below are
+    the entries of ``m.T``, whose leading axes index the 3x3 entries (the
+    stack axes follow, reversed), so one matrix costs scalar work.  The
+    cofactor formulas are symmetric under transposition, and the final
+    ``.T`` gives the adjugate of ``m`` with the stack axes back in front, in
+    C order as the matrix products that follow expect for their rounding.
     """
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return np.array(
+    (a, b, c), (d, e, f), (g, h, i) = np.asarray(m).T
+    adj_t = np.array(
         [
             [e * i - f * h, c * h - b * i, b * f - c * e],
             [f * g - d * i, a * i - c * g, c * d - a * f],
             [d * h - e * g, b * g - a * h, a * e - b * d],
         ]
     )
+    return np.ascontiguousarray(adj_t.T)
 
 
 def normalize_unit_det(c: np.ndarray) -> np.ndarray:
     """Rescale a conic so its determinant is exactly +1 (to roundoff).
 
     A second scaling pass polishes the determinant of badly conditioned
-    matrices (pixel-frame conics can span many orders of magnitude).
+    matrices (pixel-frame conics can span many orders of magnitude).  A
+    singular or non-finite conic raises ``SingularConicError``; in a stack it
+    becomes NaN.
     """
+    c = np.asarray(c, dtype=float)
     d = conic_det(c)
-    if d == 0.0 or not np.isfinite(d):
-        raise SingularConicError("cannot determinant-normalize a singular conic")
-    out = c * np.cbrt(1.0 / d)
+    if c.ndim == 2:
+        if d == 0.0 or not np.isfinite(d):
+            raise SingularConicError("cannot determinant-normalize a singular conic")
+        out = c * np.cbrt(1.0 / d)
+        d2 = conic_det(out)
+        return out * np.cbrt(1.0 / d2) if abs(d2 - 1.0) > 1e-13 and d2 > 0.0 else out
+    d = np.where((d != 0.0) & np.isfinite(d), d, np.nan)
+    out = c * np.cbrt(1.0 / d)[..., None, None]
     d2 = conic_det(out)
-    if abs(d2 - 1.0) > 1e-13 and d2 > 0.0:
-        out = out * np.cbrt(1.0 / d2)
-    return out
+    polish = (np.abs(d2 - 1.0) > 1e-13) & (d2 > 0.0)
+    return out * np.where(polish, np.cbrt(1.0 / d2), 1.0)[..., None, None]
 
 
 def degenerate_pencil_eigenvalues(ai: np.ndarray, aj: np.ndarray) -> np.ndarray:

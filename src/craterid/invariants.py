@@ -49,7 +49,7 @@ _DET_TOL = 1e-9
 
 def _check_unit_det(*conics: np.ndarray) -> None:
     for c in conics:
-        if abs(conic_det(c) - 1.0) > _DET_TOL:
+        if not abs(conic_det(c) - 1.0) <= _DET_TOL:
             raise NotNormalizedError("conic determinant differs from +1")
 
 

@@ -24,6 +24,10 @@ rims (d = pi/2) of a very elongated detection fell inside the law's wide
 tail.  ``gate_statistic`` maps it through the exact survival function of
 the weighted chi-square onto the chi2(4) scale, so a chi2(4) quantile
 threshold rejects its nominal share of true matches at every ellipticity.
+
+``conic_to_gaussian`` and ``gaussian_angle`` also take stacks and work
+element by element; where a single ellipse or pair raises, a stack holds
+NaN, which no gate threshold accepts.
 """
 
 from __future__ import annotations
@@ -56,11 +60,12 @@ class GaussianEllipse:
     """Center and positive-definite shape matrix of an ellipse.
 
     ``(u - y)^T Y (u - y) = 1`` on the rim; eigenvalues of ``Y`` are the
-    inverse squared semi-axes.
+    inverse squared semi-axes.  A stack holds ``y`` as ``(..., 2)`` and
+    ``shape`` as ``(..., 2, 2)``, NaN where the conic was not an ellipse.
     """
 
     y: np.ndarray
-    shape: np.ndarray  # 2x2
+    shape: np.ndarray  # (..., 2, 2)
 
 
 @dataclass(frozen=True)
@@ -84,43 +89,66 @@ class GateConfig:
 def conic_to_gaussian(c: np.ndarray) -> GaussianEllipse:
     """Scale-free conversion of an ellipse conic to center + shape matrix."""
     c = np.asarray(c, dtype=float)
-    if not is_proper_ellipse(c):
+    ok = is_proper_ellipse(c)
+    if c.ndim == 2 and not ok:
         raise NotAnEllipseError("conic is not a proper ellipse")
     y = conic_center(c)
-    u = c[:2, :2]
-    denom = y @ u @ y - c[2, 2]
-    shape = u / denom
+    u = c[..., :2, :2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shape = u / (_quad_form(y, u) - c[..., 2, 2])[..., None, None]
     # Positive definiteness is guaranteed for a proper ellipse; guard anyway.
-    if shape[0, 0] <= 0.0 or np.linalg.det(shape) <= 0.0:
-        raise NotAnEllipseError("shape matrix is not positive definite")
-    return GaussianEllipse(y=y, shape=0.5 * (shape + shape.T))
+    ok = ok & (shape[..., 0, 0] > 0.0) & (_det2(shape) > 0.0)
+    shape = 0.5 * (shape + shape.mT)
+    if c.ndim == 2:
+        if not ok:
+            raise NotAnEllipseError("shape matrix is not positive definite")
+        return GaussianEllipse(y=y, shape=shape)
+    return GaussianEllipse(
+        y=np.where(ok[..., None], y, np.nan), shape=np.where(ok[..., None, None], shape, np.nan)
+    )
+
+
+def _det2(m: np.ndarray):
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 def _inv2(m: np.ndarray) -> np.ndarray:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+    adj = np.stack([m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]], axis=-1)
+    return adj.reshape(m.shape) / _det2(m)[..., None, None]
 
 
-def _gaussian_angle_gg(gi: GaussianEllipse, gj: GaussianEllipse) -> float:
-    if np.array_equal(gi.y, gj.y) and np.array_equal(gi.shape, gj.shape):
-        return 0.0
+def _quad_form(x: np.ndarray, m: np.ndarray):
+    """``x^T m x`` of 2-vectors ``(..., 2)`` and 2x2 matrices ``(..., 2, 2)``."""
+    x0, x1 = x[..., 0], x[..., 1]
+    xm0 = x0 * m[..., 0, 0] + x1 * m[..., 1, 0]
+    return xm0 * x0 + (x0 * m[..., 0, 1] + x1 * m[..., 1, 1]) * x1
+
+
+def gaussian_angle(ci, cj):
+    """Gaussian-angle distance between two ellipses, in radians.
+
+    Each operand is a conic (``(..., 3, 3)``) or its ``GaussianEllipse``;
+    stacks broadcast and give an array.  A single pair raises
+    ``NotAnEllipseError`` for a conic that is not a proper ellipse and
+    ``NumericAnomalyError`` when the arccos argument leaves [0, 1]; a stack
+    holds NaN there.
+    """
+    gi = ci if isinstance(ci, GaussianEllipse) else conic_to_gaussian(ci)
+    gj = cj if isinstance(cj, GaussianEllipse) else conic_to_gaussian(cj)
     yi, yj = gi.shape, gj.shape
-    det_sum = np.linalg.det(yi + yj)
-    factor = 4.0 * np.sqrt(np.linalg.det(yi) * np.linalg.det(yj)) / det_sum
-    dy = gi.y - gj.y
-    # Y_i (Y_i + Y_j)^-1 Y_j == (Y_i^-1 + Y_j^-1)^-1; the latter evaluates
-    # bitwise-identically under operand swap, keeping the metric symmetric.
-    cov_sum = _inv2(yi) + _inv2(yj)
-    expo = -0.5 * (dy @ _inv2(cov_sum) @ dy)
-    arg = factor * np.exp(expo)
-    if not (-1e-12 <= arg <= 1.0 + 1e-12):
-        raise NumericAnomalyError(f"arccos argument {arg} outside [0, 1]")
-    return float(np.arccos(np.clip(arg, 0.0, 1.0)))
-
-
-def gaussian_angle(ci: np.ndarray, cj: np.ndarray) -> float:
-    """Gaussian-angle distance between two ellipse conics, in radians."""
-    return _gaussian_angle_gg(conic_to_gaussian(ci), conic_to_gaussian(cj))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        factor = 4.0 * np.sqrt(_det2(yi) * _det2(yj)) / _det2(yi + yj)
+        # Y_i (Y_i + Y_j)^-1 Y_j == (Y_i^-1 + Y_j^-1)^-1; the latter evaluates
+        # bitwise-identically under operand swap, keeping the metric symmetric.
+        arg = factor * np.exp(-0.5 * _quad_form(gi.y - gj.y, _inv2(_inv2(yi) + _inv2(yj))))
+    same = (gi.y == gj.y).all(axis=-1) & (yi == yj).all(axis=(-2, -1))
+    valid = same | ((-1e-12 <= arg) & (arg <= 1.0 + 1e-12))
+    d = np.where(same, 0.0, np.arccos(np.clip(arg, 0.0, 1.0)))
+    if np.ndim(d) == 0:
+        if not valid:
+            raise NumericAnomalyError(f"arccos argument {arg} outside [0, 1]")
+        return float(d)
+    return np.where(valid, d, np.nan)
 
 
 def _interior_sign(c: np.ndarray, center: np.ndarray) -> float:

@@ -1,10 +1,16 @@
 """End-to-end lost-in-space identification and the synthetic experiment harness.
 
-``identify`` walks detection triads in a pattern-shifting order, queries one
-or more descriptor indexes, and verifies each candidate correspondence by
-solving for the camera position, reprojecting the catalog rims, and gating
-every crater on the chi-square rim-distance statistic.  The first verified
-hypothesis wins; an exhausted search is an explicit no-match.
+``identify`` walks detection triads in a pattern-shifting order and queries
+one or more descriptor indexes.  Each (triad, index) gives a list of
+candidate correspondences, the hypotheses, in a fixed order: query
+rotation, then k-d hit, then label rotation.  Each hypothesis is solved for
+the camera position; the solutions outside the Moon are then verified
+together, as one array batch: the catalog rims are reprojected with one
+call, compared with the detections by Gaussian angle, and gated on the
+chi-square rim-distance statistic.  The first hypothesis in order that
+passes wins; an exhausted search is an explicit no-match.  What is fixed
+for a request (``K T``, the detection conics, their Moon-frame and Gaussian
+forms) is computed once.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import numpy as np
 from .camera import (
     CameraPose,
     Intrinsics,
+    k_matrix,
     pose_above,
     projection_matrix,
     project_disk_quadric,
@@ -37,7 +44,13 @@ from .crater3d import (
 from .errors import CraterIdError, InvalidAxesError, SchemaError
 from .index import DescriptorIndex, read_csv_rows
 from .invariants import coplanar_triad, noncoplanar_triad, query_rotations
-from .metrics import GateConfig, gaussian_angle, gate_statistic
+from .metrics import (
+    GateConfig,
+    GaussianEllipse,
+    conic_to_gaussian,
+    gate_statistic,
+    gaussian_angle,
+)
 from .pose import moon_conic, solve_position
 
 __all__ = [
@@ -109,8 +122,9 @@ class SceneGeometry:
 
 @dataclass
 class IdentifyRequest:
-    """Inputs to one identification attempt; construction checks ``n_candidates``
-    and the attitude (``CameraPose``'s rotation rule), raising ``CraterIdError``."""
+    """Inputs to one identification attempt; construction checks ``n_candidates``,
+    ``max_triads`` and the attitude (``CameraPose``'s rotation rule), raising
+    ``CraterIdError``."""
 
     detections: Sequence[Detection]
     intrinsics: Intrinsics
@@ -126,6 +140,8 @@ class IdentifyRequest:
     def __post_init__(self):
         if self.n_candidates < 1:
             raise CraterIdError("n_candidates (--n-candidates) must be at least 1")
+        if self.max_triads < 1:
+            raise CraterIdError("max_triads (--max-triads) must be at least 1")
         try:
             self.attitude = CameraPose(t_mc=self.attitude, r_m=np.zeros(3)).t_mc
         except ValueError as exc:
@@ -176,52 +192,93 @@ def clockwise_image_order(dets: Sequence[Detection]) -> list[int]:
     return list(np.argsort(ang, kind="stable"))
 
 
-def _observation_descriptor(index: DescriptorIndex, conics: list[np.ndarray]) -> np.ndarray:
-    """Scale-appropriate invariant vector for three clockwise image conics."""
+def _observation_descriptor(
+    index: DescriptorIndex, conics: np.ndarray, unit_conics: np.ndarray
+) -> np.ndarray:
+    """Scale-appropriate invariant vector for three clockwise image conics,
+    given as they are and determinant-normalized."""
     if index.scale.descriptor_kind == "coplanar7":
-        return coplanar_triad(*[normalize_unit_det(c) for c in conics])
+        return coplanar_triad(*unit_conics)
     return noncoplanar_triad(*conics)
 
 
-def _verify_hypothesis(
+@dataclass(frozen=True)
+class _RequestForms:
+    """What verification reads of a request's detections, computed once:
+    ``K T``, the Moon-frame conics, the Gaussian forms and the fit axes."""
+
+    kt: np.ndarray  # (3, 3)
+    moon_conics: np.ndarray  # (m, 3, 3)
+    gaussians: GaussianEllipse  # (m, 2), (m, 2, 2)
+    axes: np.ndarray  # (m, 2): a, b
+
+    @classmethod
+    def of(cls, req: IdentifyRequest, conics: np.ndarray) -> "_RequestForms":
+        """The forms of ``req``'s detections, whose image conics are ``conics``."""
+        return cls(
+            kt=k_matrix(req.intrinsics) @ req.attitude,
+            moon_conics=moon_conic(conics, req.attitude, req.intrinsics),
+            gaussians=conic_to_gaussian(conics),
+            axes=np.array([(d.a, d.b) for d in req.detections]),
+        )
+
+
+def _verify_triad(
     req: IdentifyRequest,
-    pairs: list[tuple[int, str]],
+    hypotheses: list[list[tuple[int, str]]],
     geometry: SceneGeometry,
-    conics: list[np.ndarray],
-    moon_conics: list[np.ndarray],
+    forms: _RequestForms,
     radius: float,
 ) -> MatchResult | None:
-    """Pose + reprojection verification of one (detection index, crater id)
-    assignment; ``conics`` and ``moon_conics`` are indexed by detection."""
-    if not all(cid in geometry.by_id for _, cid in pairs):
+    """The first of one triad's hypotheses, in order, that passes.
+
+    A hypothesis is a list of (detection index, crater id) pairs.  Each gets
+    one ``solve_position``; the solutions outside the Moon are verified as
+    one batch: one projection of all their rims, one Gaussian-angle call and
+    one gate call on ``(H, 3)`` arrays.  A hypothesis passes when every
+    statistic is valid and within the threshold.  ``req.verify`` off accepts
+    the first solution outside the Moon.
+    """
+    solved: list[tuple[list[tuple[int, str]], np.ndarray]] = []
+    for pairs in hypotheses:
+        if not all(cid in geometry.by_id for _, cid in pairs):
+            continue
+        try:
+            est = solve_position(
+                [(forms.moon_conics[k], geometry.by_id[cid][1]) for k, cid in pairs], radius
+            )
+        except CraterIdError:
+            continue
+        if est.inside_moon:
+            continue
+        if not req.verify:
+            return MatchResult(status="matched", correspondences=dict(pairs), r_m=est.r_m)
+        solved.append((pairs, est.r_m))
+    if not solved:
         return None
-    det_idx = [k for k, _ in pairs]
-    _, frames, quads = zip(*(geometry.by_id[cid] for _, cid in pairs))
-    try:
-        est = solve_position([(moon_conics[k], f) for k, f in zip(det_idx, frames)], radius)
-    except CraterIdError:
+    det_idx = np.array([[k for k, _ in pairs] for pairs, _ in solved])
+    quads = np.array([[geometry.by_id[cid][2] for _, cid in pairs] for pairs, _ in solved])
+    r_m = np.array([r for _, r in solved])
+    # P = K T [I | -r] per hypothesis.
+    p = np.concatenate(
+        [np.broadcast_to(forms.kt, (len(solved), 3, 3)), -(r_m @ forms.kt.T)[:, :, None]], axis=2
+    )
+    rims = conic_to_gaussian(project_disk_quadric(p[:, None], quads))
+    dets = GaussianEllipse(y=forms.gaussians.y[det_idx], shape=forms.gaussians.shape[det_idx])
+    d = gaussian_angle(rims, dets)
+    axes = forms.axes[det_idx]
+    stat = gate_statistic(d, axes[..., 0], axes[..., 1], req.gate.sigma_img)
+    passed = np.flatnonzero(np.all(stat <= req.gate.threshold, axis=1))
+    if not passed.size:
         return None
-    if est.inside_moon:
-        return None
-    if not req.verify:
-        return MatchResult(status="matched", correspondences=dict(pairs), r_m=est.r_m)
-    p = projection_matrix(req.intrinsics, CameraPose(t_mc=req.attitude, r_m=est.r_m))
-    try:
-        d = np.array(
-            [gaussian_angle(project_disk_quadric(p, q), conics[k]) for k, q in zip(det_idx, quads)]
-        )
-    except CraterIdError:
-        return None
-    fits = [req.detections[k] for k in det_idx]
-    stat = gate_statistic(d, [f.a for f in fits], [f.b for f in fits], req.gate.sigma_img)
-    if np.any(stat > req.gate.threshold):
-        return None
+    h = passed[0]
+    pairs = solved[h][0]
     per_crater = [
         {"crater_id": cid, "d_ga": float(dk), "stat": float(sk)}
-        for (_, cid), dk, sk in zip(pairs, d, stat)
+        for (_, cid), dk, sk in zip(pairs, d[h], stat[h])
     ]
     return MatchResult(
-        status="matched", correspondences=dict(pairs), r_m=est.r_m, per_crater=per_crater
+        status="matched", correspondences=dict(pairs), r_m=r_m[h], per_crater=per_crater
     )
 
 
@@ -232,36 +289,36 @@ def identify(req: IdentifyRequest) -> MatchResult:
     geometry = req.geometry or SceneGeometry.build(
         req.catalog, req.indexes[0].radius if req.indexes else LUNAR_RADIUS_KM
     )
-    conics = [d.conic() for d in req.detections]
-    moon_conics = [moon_conic(c, req.attitude, req.intrinsics) for c in conics]
+    conics = np.array([d.conic() for d in req.detections])
+    unit_conics = normalize_unit_det(conics)
+    forms = _RequestForms.of(req, conics)
     tried = 0
     for triple in eps_enumerate(len(req.detections)):
         if tried >= req.max_triads:
             break
         tried += 1
         obs_order = [triple[o] for o in clockwise_image_order([req.detections[t] for t in triple])]
-        triad_conics = [conics[t] for t in obs_order]
         for index in req.indexes:
             try:
-                base = _observation_descriptor(index, triad_conics)
+                base = _observation_descriptor(index, conics[obs_order], unit_conics[obs_order])
             except CraterIdError:
                 continue
+            hypotheses = []
             for rotation, query_vec in query_rotations(base, index.scale.convention):
                 hits = index.query(query_vec, req.n_candidates)
                 if not req.verify:
                     # Negative-control mode: accept the first NN hit.
                     hits = hits[:1]
                 for _dist, entry in hits:
-                    rotations = (rotation,) if rotation is not None else (0, 1, 2)
-                    for r in rotations:
-                        pairs = [(obs_order[(r + m) % 3], cid) for m, cid in enumerate(entry.ids)]
-                        result = _verify_hypothesis(
-                            req, pairs, geometry, conics, moon_conics, index.radius
+                    for r in (rotation,) if rotation is not None else (0, 1, 2):
+                        hypotheses.append(
+                            [(obs_order[(r + m) % 3], cid) for m, cid in enumerate(entry.ids)]
                         )
-                        if result is not None:
-                            result.triads_tried = tried
-                            result.scale_name = index.scale.name
-                            return result
+            result = _verify_triad(req, hypotheses, geometry, forms, index.radius)
+            if result is not None:
+                result.triads_tried = tried
+                result.scale_name = index.scale.name
+                return result
     return MatchResult(status="no-match", triads_tried=tried)
 
 

@@ -21,9 +21,6 @@ from .errors import DegenerateBlockError, RankDeficientGeometryError
 
 __all__ = ["PositionEstimate", "moon_conic", "solve_position"]
 
-_S = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])  # plane-coordinate selector
-_K3 = np.array([0.0, 0.0, 1.0])
-
 
 @dataclass(frozen=True)
 class PositionEstimate:
@@ -35,21 +32,27 @@ class PositionEstimate:
 
 def moon_conic(image_conic: np.ndarray, t_mc: np.ndarray, intr: Intrinsics) -> np.ndarray:
     """Image conic in Moon axes, ``T^T K^T C K T`` symmetrized; it depends on
-    the detection and the attitude, not on the camera position."""
+    the detection and the attitude, not on the camera position.  A stack of
+    image conics ``(..., 3, 3)`` gives a stack."""
     kmat = k_matrix(intr)
     b = t_mc.T @ kmat.T @ image_conic @ kmat @ t_mc
-    return 0.5 * (b + b.T)
+    return 0.5 * (b + b.mT)
 
 
-def _scale_and_block(b: np.ndarray, frame: CraterFrame) -> tuple[float, np.ndarray]:
-    """Homography scale and 2x3 position block of one crater."""
-    block = _S.T @ frame.t_em.T @ b
-    lhs = _S.T @ frame.conic @ _S
-    rhs = block @ frame.t_em @ _S
-    denom = float(np.sum(lhs * lhs))
-    if denom < 1e-14:
+def _scale_and_block(
+    b: np.ndarray, t_em: np.ndarray, conic: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Homography scales ``(n,)`` and 2x3 position blocks ``(n, 2, 3)`` of n
+    craters, from their Moon-frame conics, frame rotations ``CraterFrame.t_em``
+    and plane conics ``CraterFrame.conic``, each stacked ``(n, 3, 3)``."""
+    plane_axes = t_em[:, :, :2]
+    block = plane_axes.mT @ b
+    # Frobenius products of 2x2 blocks, as (n, 1, 4) @ (n, 4, 1) products.
+    lhs = conic[:, :2, :2].reshape(-1, 1, 4)
+    denom = (lhs @ lhs.mT)[:, 0, 0]
+    if denom.min() < 1e-14:
         raise DegenerateBlockError("catalog conic block is numerically zero")
-    return float(np.sum(lhs * rhs)) / denom, block
+    return (lhs @ (block @ plane_axes).reshape(-1, 4, 1))[:, 0, 0] / denom, block
 
 
 def solve_position(
@@ -65,13 +68,13 @@ def solve_position(
     """
     if len(pairs) < 2:
         raise ValueError("need at least two correspondences")
-    rows = []
-    rhs = []
-    for b, frame in pairs:
-        s_hat, block = _scale_and_block(b, frame)
-        rows.append(block)
-        rhs.append(block @ frame.p_c - s_hat * (_S.T @ frame.conic @ _K3))
-    r_m, _, rank, _ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
+    b = np.array([b for b, _ in pairs])
+    t_em = np.array([f.t_em for _, f in pairs])
+    conic = np.array([f.conic for _, f in pairs])
+    p_c = np.array([f.p_c for _, f in pairs])
+    scale, block = _scale_and_block(b, t_em, conic)
+    rhs = (block @ p_c[:, :, None])[:, :, 0] - scale[:, None] * conic[:, :2, 2]
+    r_m, _, rank, _ = np.linalg.lstsq(block.reshape(-1, 3), rhs.reshape(-1), rcond=None)
     if rank < 3:
         raise RankDeficientGeometryError("crater geometry does not determine position")
     return PositionEstimate(r_m=r_m, inside_moon=bool(np.linalg.norm(r_m) <= radius + 1.0))

@@ -290,3 +290,58 @@ def test_pose_validation_bound_is_absolute():
         r_m, target, up = rng.normal(size=(3, 3))
         pose = look_at_pose(r_m, target, up_hint=up)
         assert np.array_equal(CameraPose(t_mc=pose.t_mc, r_m=r_m).t_mc, pose.t_mc)
+
+
+def test_stacked_projection_and_gaussian_angle_match_single_calls():
+    # One (H, 3) stack of views mixing visible, edge-on, behind-camera and
+    # straddling (hyperbola) projections: every element equals its one-element
+    # call to 1e-12 relative, and an element is NaN exactly where that call
+    # raises.
+    from craterid.conic2d import EllipseParams, ellipse_to_conic
+    from craterid.errors import CraterIdError, NotAnEllipseError
+    from craterid.metrics import gaussian_angle
+
+    recs = [
+        CraterRecord(f"c{i}", 0.1 + 0.01 * i, 0.2, 10.0 - i, 8.0 - i, 0.3 * i) for i in range(3)
+    ]
+    f = build_frame(recs[0])
+    intr = Intrinsics(dx=1000, dy=1000, up=500, vp=500)
+    poses = [
+        look_at_pose(f.p_c + 150 * f.u, f.p_c, up_hint=f.e),  # nadir
+        look_at_pose(f.p_c + 100 * f.u + 80 * f.e, f.p_c, up_hint=f.u),  # oblique
+        look_at_pose(f.p_c + 500 * f.e, f.p_c, up_hint=f.u),  # in the plane of crater 0
+        look_at_pose(f.p_c + 150 * f.u, f.p_c + 300 * f.u, up_hint=f.e),  # facing away
+        look_at_pose(f.p_c + f.u, f.p_c + f.u + f.e, up_hint=f.u),  # rim 0 straddles the camera
+    ]
+    p = np.array([projection_matrix(intr, pose) for pose in poses])
+    q = np.array([[disk_quadric(r) for r in recs]] * len(poses))
+    stacked = project_disk_quadric(p[:, None], q)
+    rng = np.random.default_rng(12)
+    ref = np.array(
+        [
+            [ellipse_to_conic(EllipseParams(30, 20, *rng.uniform(0, 1000, 2), 0.4)) for _ in recs]
+            for _ in poses
+        ]
+    )
+    ref[1, 2] = np.diag([1.0, -1.0, 1.0])  # a hyperbola: not an ellipse
+    angles = gaussian_angle(stacked, ref)
+    assert stacked.shape == (len(poses), 3, 3, 3) and angles.shape == (len(poses), 3)
+    raised = set()
+    for h in range(len(poses)):
+        for k in range(3):
+            try:
+                single = project_disk_quadric(p[h], q[h, k])
+            except CraterIdError as exc:
+                raised.add(type(exc))
+                assert np.isnan(stacked[h, k]).all() and np.isnan(angles[h, k])
+                continue
+            np.testing.assert_allclose(stacked[h, k], single, rtol=1e-12, atol=0)
+            try:
+                d = gaussian_angle(single, ref[h, k])
+            except NotAnEllipseError:
+                raised.add(NotAnEllipseError)
+                assert np.isnan(angles[h, k])
+                continue
+            assert angles[h, k] == pytest.approx(d, rel=1e-12, abs=0)
+    assert raised == {DegenerateViewError, NotAnEllipseError}
+    assert np.isfinite(angles).sum() >= 6

@@ -323,6 +323,7 @@ _NOISE_DETECTIONS = (
         ("identify", ["--sigma-img", "0"], "sigma_img"),
         ("identify", ["--threshold", "-1"], "threshold"),
         ("identify", ["--n-candidates", "0"], "--n-candidates"),
+        ("identify", ["--max-triads", "0"], "--max-triads"),
     ],
 )
 def test_option_values_never_end_in_a_traceback(

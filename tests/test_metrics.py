@@ -115,11 +115,11 @@ def test_gaussian_angle_similarity_invariance():
 
 def test_gaussian_angle_anomaly_guard():
     g = conic_to_gaussian(_conic(2, 1))
-    from craterid.metrics import _gaussian_angle_gg, GaussianEllipse
+    from craterid.metrics import GaussianEllipse
 
     bad = GaussianEllipse(y=np.array([np.nan, 0.0]), shape=np.eye(2))
     with pytest.raises(NumericAnomalyError):
-        _gaussian_angle_gg(g, bad)
+        gaussian_angle(g, bad)
 
 
 # -- jaccard ------------------------------------------------------------------

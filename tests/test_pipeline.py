@@ -252,6 +252,10 @@ def test_identify_request_checks_its_inputs(apollo_camera):
     for n in (0, -1):
         with pytest.raises(CraterIdError, match="n_candidates"):
             request(n_candidates=n)
+    # A triad budget below one used to end in a silent no-match.
+    for n in (0, -5):
+        with pytest.raises(CraterIdError, match="max_triads"):
+            request(max_triads=n)
     assert identify(request()).status == "no-match"
 
 
@@ -332,6 +336,42 @@ def test_identify_multi_scale_priority(
     assert res.scale_name == "patch"
     for det_idx, crater_id in res.correspondences.items():
         assert truth[det_idx] == crater_id
+
+
+@pytest.mark.parametrize("stage", ["project_disk_quadric", "gaussian_angle"])
+def test_batched_gate_rejects_a_failed_element(
+    monkeypatch, stage, patch_index, patch_pose, apollo_camera, patch_records
+):
+    # Two truth hypotheses in one triad batch: the first wins, unless one of
+    # its elements fails (a NaN projection) or its statistic is NaN; then the
+    # second wins.
+    import craterid.pipeline as pipeline_mod
+
+    dets, truth = synth_scene(
+        patch_records, patch_pose, apollo_camera, 0.0, np.random.default_rng(5)
+    )
+    assert len(dets) >= 4
+    req = _patch_request(dets, patch_pose, apollo_camera, patch_index, patch_records)
+    geometry = SceneGeometry.build(patch_records)
+    forms = pipeline_mod._RequestForms.of(req, np.array([d.conic() for d in dets]))
+    first = [(k, truth[k]) for k in (0, 1, 2)]
+    second = [(k, truth[k]) for k in (0, 1, 3)]
+
+    def verify():
+        return pipeline_mod._verify_triad(req, [first, second], geometry, forms, LUNAR_RADIUS_KM)
+
+    assert verify().correspondences == dict(first)
+    real = getattr(pipeline_mod, stage)
+
+    def first_fails(*args):
+        out = np.array(real(*args))
+        out[0, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(pipeline_mod, stage, first_fails)
+    res = verify()
+    assert res.correspondences == dict(second)
+    assert all(np.isfinite(pc["stat"]) and pc["stat"] <= 13.277 for pc in res.per_crater)
 
 
 def test_sorted_and_p2_conventions_match(patch_records, patch_pose, apollo_camera):

@@ -45,7 +45,9 @@ def _pairs(views, t_mc, intr):
 
 def _scale(image_conic, rec, t_mc, intr):
     """Homography scale of one crater, from solve_position's own helper."""
-    return _scale_and_block(moon_conic(image_conic, t_mc, intr), build_frame(rec))[0]
+    frame = build_frame(rec)
+    b = moon_conic(image_conic, t_mc, intr)
+    return _scale_and_block(b[None], frame.t_em[None], frame.conic[None])[0][0]
 
 
 def test_estimate_scale_consistency():

@@ -25,3 +25,41 @@ def test_every_traced_function_is_bound_somewhere():
     tracer.restore()
     assert pipeline.solve_position is original
     assert tracer.absent - tracer.installed == set()
+
+
+def test_traced_identify_matches_untraced(patch_index, patch_pose, apollo_camera, patch_records):
+    # The traced benchmark run wraps identify's callees; it must not change
+    # the result, and its hooks (count_pose turns each solve_position result
+    # into a bool) must accept what the program returns.
+    import numpy as np
+
+    from craterid.metrics import GateConfig
+
+    dets, _ = pipeline.synth_scene(
+        patch_records, patch_pose, apollo_camera, 0.25, np.random.default_rng(5)
+    )
+    req = pipeline.IdentifyRequest(
+        detections=dets,
+        intrinsics=apollo_camera,
+        attitude=patch_pose.t_mc,
+        indexes=[patch_index],
+        catalog=patch_records,
+        gate=GateConfig(sigma_img=0.25),
+    )
+    plain = pipeline.identify(req)
+    tracer = Tracer()
+    layers.install(tracer, req.gate.threshold)
+    try:
+        since = tracer.mark()
+        traced = pipeline.identify(req)
+        spans = tracer.summary(since)["spans"]
+    finally:
+        tracer.restore()
+    assert plain.matched
+    assert (traced.status, traced.correspondences, traced.per_crater) == (
+        plain.status, plain.correspondences, plain.per_crater
+    )
+    assert (traced.triads_tried, traced.scale_name) == (plain.triads_tried, plain.scale_name)
+    assert np.array_equal(traced.r_m, plain.r_m)
+    assert spans["pose.solve_position"]["calls"] > 0
+    assert spans["metrics.gate_statistic"]["calls"] > 0
