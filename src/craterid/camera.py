@@ -122,16 +122,16 @@ def project_disk_quadric(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     env = 0.5 * (env + env.mT)
     locus = adjugate(env)
     ok = is_proper_ellipse(locus)
-    if env.ndim > 2:
-        # Only proper ellipses are normalized, as in a single projection.
-        proper = ok[..., None, None]
-        return np.where(proper, normalize_unit_det(np.where(proper, locus, np.eye(3))), np.nan)
-    if not ok:
+    if env.ndim == 2 and not ok:
         sv = np.linalg.svd(env, compute_uv=False)
         if sv[0] == 0.0 or sv[2] <= 1e-9 * sv[0]:
             raise DegenerateViewError("projected envelope is rank deficient")
         raise NotAnEllipseError("projected contour is not a proper ellipse")
-    return normalize_unit_det(locus)
+    if ok.all():
+        return normalize_unit_det(locus)
+    # Only proper ellipses are normalized.
+    proper = ok[..., None, None]
+    return np.where(proper, normalize_unit_det(np.where(proper, locus, np.eye(3))), np.nan)
 
 
 def crater_homography(p: np.ndarray, frame: CraterFrame) -> np.ndarray:

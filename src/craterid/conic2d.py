@@ -102,13 +102,16 @@ def conic_center(c: np.ndarray) -> np.ndarray:
     """Euclidean center of a central conic (scale-free)."""
     c = np.asarray(c, dtype=float)
     if c.ndim == 2:
-        try:
-            return np.linalg.solve(c[:2, :2], -c[:2, 2])
-        except np.linalg.LinAlgError as exc:
-            raise NotAnEllipseError("conic has no finite center") from exc
-    finite = np.isfinite(c).all(axis=(-2, -1))
-    u = np.where(finite[..., None, None], c[..., :2, :2], np.eye(2))
-    central = finite & (u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0] != 0.0)
+        y = conic_center(c[None])[0]
+        if not np.isfinite(y).all():
+            raise NotAnEllipseError("conic has no finite center")
+        return y
+    u = c[..., :2, :2]
+    u_det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
+    # A non-finite entry of U makes its determinant non-finite.
+    central = np.isfinite(u_det) & (u_det != 0.0)
+    if central.all():
+        return np.linalg.solve(u, -c[..., :2, 2:])[..., 0]
     y = np.linalg.solve(np.where(central[..., None, None], u, np.eye(2)), -c[..., :2, 2:])
     return np.where(central[..., None], y[..., 0], np.nan)
 
@@ -157,11 +160,7 @@ def conic_det(c: np.ndarray):
     gets the direct determinant.
     """
     if c.ndim == 2:
-        u_det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
-        if u_det == 0.0:
-            return float(np.linalg.det(c))
-        y = np.linalg.solve(c[:2, :2], -c[:2, 2])
-        return float(u_det * (c[2, 2] + c[0, 2] * y[0] + c[1, 2] * y[1]))
+        return float(conic_det(c[None])[0])
     u_det = c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0]
     y = conic_center(c)
     d = u_det * (c[..., 2, 2] + c[..., 0, 2] * y[..., 0] + c[..., 1, 2] * y[..., 1])
@@ -203,18 +202,17 @@ def normalize_unit_det(c: np.ndarray) -> np.ndarray:
     becomes NaN.
     """
     c = np.asarray(c, dtype=float)
-    d = conic_det(c)
     if c.ndim == 2:
-        if d == 0.0 or not np.isfinite(d):
+        out = normalize_unit_det(c[None])[0]
+        if np.isnan(out).any():
             raise SingularConicError("cannot determinant-normalize a singular conic")
-        out = c * np.cbrt(1.0 / d)
-        d2 = conic_det(out)
-        return out * np.cbrt(1.0 / d2) if abs(d2 - 1.0) > 1e-13 and d2 > 0.0 else out
-    d = np.where((d != 0.0) & np.isfinite(d), d, np.nan)
-    out = c * np.cbrt(1.0 / d)[..., None, None]
+        return out
+    d = conic_det(c)
+    good = (d != 0.0) & np.isfinite(d)
+    out = c * np.cbrt(1.0 / np.where(good, d, np.nan))[..., None, None]
     d2 = conic_det(out)
     polish = (np.abs(d2 - 1.0) > 1e-13) & (d2 > 0.0)
-    return out * np.where(polish, np.cbrt(1.0 / d2), 1.0)[..., None, None]
+    return out * np.where(polish, np.cbrt(1.0 / d2), 1.0)[..., None, None] if polish.any() else out
 
 
 def degenerate_pencil_eigenvalues(ai: np.ndarray, aj: np.ndarray) -> np.ndarray:
@@ -271,8 +269,10 @@ def line_between_conics(
     g: np.ndarray, h: np.ndarray, ai: np.ndarray, aj: np.ndarray
 ) -> np.ndarray:
     """Pick whichever of ``g``, ``h`` strictly separates the two ellipse centers."""
-    ci = np.append(conic_center(ai), 1.0)
-    cj = np.append(conic_center(aj), 1.0)
+    centers = conic_center(np.array([ai, aj]))
+    if not np.isfinite(centers).all():
+        raise NotAnEllipseError("conic has no finite center")
+    ci, cj = np.append(centers, [[1.0], [1.0]], axis=1)
 
     def separates(line: np.ndarray) -> bool:
         si = line @ ci

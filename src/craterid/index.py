@@ -35,6 +35,7 @@ from .crater3d import (
 from .errors import (
     CraterIdError,
     DimensionMismatchError,
+    NotAnEllipseError,
     SchemaError,
     VersionMismatchError,
 )
@@ -349,9 +350,10 @@ def enumerate_triads(
     return out
 
 
-def _tangent_plane_conics(frames: list, mean_dir: np.ndarray, radius: float) -> list[np.ndarray]:
+def _tangent_plane_conics(frames: list, mean_dir: np.ndarray, radius: float) -> np.ndarray:
     """Orthogonal projection of three rims onto the tangent plane at the
-    triad mean direction, as det-normalized 2D conics."""
+    triad mean direction, as a stack of det-normalized 2D conics (NaN where
+    singular, which ``coplanar_triad`` refuses)."""
     e, n = _tangent_basis(mean_dir)
     basis = np.column_stack([e, n])
     origin = radius * mean_dir
@@ -363,8 +365,8 @@ def _tangent_plane_conics(frames: list, mean_dir: np.ndarray, radius: float) -> 
         m[:2, :2] = m2
         m[:2, 2] = t0
         mi = np.linalg.inv(m)
-        out.append(normalize_unit_det(mi.T @ frame.conic @ mi))
-    return out
+        out.append(mi.T @ frame.conic @ mi)
+    return normalize_unit_det(np.array(out))
 
 
 _CANONICAL_VIEW_ALTITUDE_FACTOR = 3.0
@@ -372,7 +374,7 @@ _CANONICAL_VIEW_ALTITUDE_FACTOR = 3.0
 
 def _canonical_view_conics(
     quads: list[np.ndarray], mean_dir: np.ndarray, radius: float
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Project three disk quadrics with a canonical synthetic camera.
 
     Any projective view yields the same non-coplanar invariants; a fixed
@@ -383,7 +385,10 @@ def _canonical_view_conics(
     pose = look_at_pose(r_cam, np.zeros(3), up_hint=e)
     intr = Intrinsics(dx=1000.0, dy=1000.0)
     p = projection_matrix(intr, pose)
-    return [project_disk_quadric(p, q) for q in quads]
+    conics = project_disk_quadric(p, np.array(quads))
+    if np.isnan(conics).any():
+        raise NotAnEllipseError("a rim is no ellipse in the canonical view")
+    return conics
 
 
 @dataclass

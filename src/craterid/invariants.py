@@ -28,7 +28,13 @@ from .conic2d import (
     normalize_unit_det,
     pencil_separating_line,
 )
-from .errors import AcoshDomainError, NotNormalizedError, OverlapError
+from .errors import (
+    AcoshDomainError,
+    NotAnEllipseError,
+    NotNormalizedError,
+    OverlapError,
+    SingularConicError,
+)
 
 __all__ = [
     "TriadDescriptor",
@@ -47,31 +53,37 @@ __all__ = [
 _DET_TOL = 1e-9
 
 
-def _check_unit_det(*conics: np.ndarray) -> None:
-    for c in conics:
-        if not abs(conic_det(c) - 1.0) <= _DET_TOL:
-            raise NotNormalizedError("conic determinant differs from +1")
+def _check_unit_det(conics: np.ndarray) -> None:
+    """Refuse a stack of conics unless every determinant is +1 to ``_DET_TOL``."""
+    if not np.all(np.abs(conic_det(conics) - 1.0) <= _DET_TOL):
+        raise NotNormalizedError("conic determinant differs from +1")
 
 
-def _condition_frame(conics: list[np.ndarray]) -> list[np.ndarray]:
-    """Re-express conics in a centered, unit-scale frame.
+def _condition_frame(conics: np.ndarray) -> np.ndarray:
+    """Re-express a stack of conics in a centered, unit-scale frame.
 
     A similarity transform is a homography, so the invariants are untouched;
     evaluating the traces near the origin at unit scale avoids the
     cancellation that pixel-frame coordinates otherwise cause.
     """
-    centers = [conic_center(c) for c in conics]
+    centers = conic_center(conics)
+    if not np.isfinite(centers).all():
+        raise NotAnEllipseError("conic has no finite center")
     mid = np.mean(centers, axis=0)
     spread = max(float(np.linalg.norm(c - mid)) for c in centers)
     scale = max(spread, 1e-12)
     t = np.array([[scale, 0.0, mid[0]], [0.0, scale, mid[1]], [0.0, 0.0, 1.0]])
-    return [normalize_unit_det(t.T @ c @ t) for c in conics]
+    out = normalize_unit_det(t.T @ conics @ t)
+    if np.isnan(out).any():
+        raise SingularConicError("cannot determinant-normalize a singular conic")
+    return out
 
 
 def coplanar_pair(ai: np.ndarray, aj: np.ndarray) -> tuple[float, float]:
     """The two trace invariants of a determinant-normalized conic pair."""
-    _check_unit_det(ai, aj)
-    ai, aj = _condition_frame([ai, aj])
+    pair = np.array([ai, aj])
+    _check_unit_det(pair)
+    ai, aj = _condition_frame(pair)
     i_ij = float(np.trace(adjugate(ai) @ aj))
     i_ji = float(np.trace(adjugate(aj) @ ai))
     return i_ij, i_ji
@@ -80,8 +92,9 @@ def coplanar_pair(ai: np.ndarray, aj: np.ndarray) -> tuple[float, float]:
 def coplanar_triad(ai: np.ndarray, aj: np.ndarray, ak: np.ndarray) -> np.ndarray:
     """``[I_ij, I_jk, I_ki, I_ji, I_kj, I_ik, I_ijk]`` of a determinant-normalized
     coplanar triad (i, j, k)."""
-    _check_unit_det(ai, aj, ak)
-    ai, aj, ak = _condition_frame([ai, aj, ak])
+    triad = np.array([ai, aj, ak])
+    _check_unit_det(triad)
+    ai, aj, ak = _condition_frame(triad)
     adj_i, adj_j, adj_k = adjugate(ai), adjugate(aj), adjugate(ak)
     return np.array(
         [

@@ -98,11 +98,9 @@ def conic_to_gaussian(c: np.ndarray) -> GaussianEllipse:
         shape = u / (_quad_form(y, u) - c[..., 2, 2])[..., None, None]
     # Positive definiteness is guaranteed for a proper ellipse; guard anyway.
     ok = ok & (shape[..., 0, 0] > 0.0) & (_det2(shape) > 0.0)
+    if c.ndim == 2 and not ok:
+        raise NotAnEllipseError("shape matrix is not positive definite")
     shape = 0.5 * (shape + shape.mT)
-    if c.ndim == 2:
-        if not ok:
-            raise NotAnEllipseError("shape matrix is not positive definite")
-        return GaussianEllipse(y=y, shape=shape)
     return GaussianEllipse(
         y=np.where(ok[..., None], y, np.nan), shape=np.where(ok[..., None, None], shape, np.nan)
     )

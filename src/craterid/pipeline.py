@@ -9,8 +9,8 @@ together, as one array batch: the catalog rims are reprojected with one
 call, compared with the detections by Gaussian angle, and gated on the
 chi-square rim-distance statistic.  The first hypothesis in order that
 passes wins; an exhausted search is an explicit no-match.  What is fixed
-for a request (``K T``, the detection conics, their Moon-frame and Gaussian
-forms) is computed once.
+for a request (``K T``, the detection conics, their unit-determinant,
+Moon-frame and Gaussian forms) is computed once.
 """
 
 from __future__ import annotations
@@ -202,42 +202,27 @@ def _observation_descriptor(
     return noncoplanar_triad(*conics)
 
 
-@dataclass(frozen=True)
-class _RequestForms:
-    """What verification reads of a request's detections, computed once:
-    ``K T``, the Moon-frame conics, the Gaussian forms and the fit axes."""
-
-    kt: np.ndarray  # (3, 3)
-    moon_conics: np.ndarray  # (m, 3, 3)
-    gaussians: GaussianEllipse  # (m, 2), (m, 2, 2)
-    axes: np.ndarray  # (m, 2): a, b
-
-    @classmethod
-    def of(cls, req: IdentifyRequest, conics: np.ndarray) -> "_RequestForms":
-        """The forms of ``req``'s detections, whose image conics are ``conics``."""
-        return cls(
-            kt=k_matrix(req.intrinsics) @ req.attitude,
-            moon_conics=moon_conic(conics, req.attitude, req.intrinsics),
-            gaussians=conic_to_gaussian(conics),
-            axes=np.array([(d.a, d.b) for d in req.detections]),
-        )
-
-
 def _verify_triad(
     req: IdentifyRequest,
     hypotheses: list[list[tuple[int, str]]],
     geometry: SceneGeometry,
-    forms: _RequestForms,
+    kt: np.ndarray,
+    moon_conics: np.ndarray,
+    gaussians: GaussianEllipse,
+    axes: np.ndarray,
     radius: float,
 ) -> MatchResult | None:
     """The first of one triad's hypotheses, in order, that passes.
 
-    A hypothesis is a list of (detection index, crater id) pairs.  Each gets
-    one ``solve_position``; the solutions outside the Moon are verified as
-    one batch: one projection of all their rims, one Gaussian-angle call and
-    one gate call on ``(H, 3)`` arrays.  A hypothesis passes when every
-    statistic is valid and within the threshold.  ``req.verify`` off accepts
-    the first solution outside the Moon.
+    A hypothesis is a list of (detection index, crater id) pairs.  ``kt`` is
+    the request's ``K T``; ``moon_conics``, ``gaussians`` and ``axes`` (the
+    fit a, b) are its detections' forms, indexed by detection.  Each
+    hypothesis gets one ``solve_position``; the solutions outside the Moon
+    are verified as one batch: one projection of all their rims, one
+    Gaussian-angle call and one gate call on ``(H, 3)`` arrays.  A
+    hypothesis passes when every statistic is valid and within the
+    threshold.  ``req.verify`` off accepts the first solution outside the
+    Moon.
     """
     solved: list[tuple[list[tuple[int, str]], np.ndarray]] = []
     for pairs in hypotheses:
@@ -245,7 +230,7 @@ def _verify_triad(
             continue
         try:
             est = solve_position(
-                [(forms.moon_conics[k], geometry.by_id[cid][1]) for k, cid in pairs], radius
+                [(moon_conics[k], geometry.by_id[cid][1]) for k, cid in pairs], radius
             )
         except CraterIdError:
             continue
@@ -261,13 +246,13 @@ def _verify_triad(
     r_m = np.array([r for _, r in solved])
     # P = K T [I | -r] per hypothesis.
     p = np.concatenate(
-        [np.broadcast_to(forms.kt, (len(solved), 3, 3)), -(r_m @ forms.kt.T)[:, :, None]], axis=2
+        [np.broadcast_to(kt, (len(solved), 3, 3)), -(r_m @ kt.T)[:, :, None]], axis=2
     )
     rims = conic_to_gaussian(project_disk_quadric(p[:, None], quads))
-    dets = GaussianEllipse(y=forms.gaussians.y[det_idx], shape=forms.gaussians.shape[det_idx])
+    dets = GaussianEllipse(y=gaussians.y[det_idx], shape=gaussians.shape[det_idx])
     d = gaussian_angle(rims, dets)
-    axes = forms.axes[det_idx]
-    stat = gate_statistic(d, axes[..., 0], axes[..., 1], req.gate.sigma_img)
+    fit = axes[det_idx]
+    stat = gate_statistic(d, fit[..., 0], fit[..., 1], req.gate.sigma_img)
     passed = np.flatnonzero(np.all(stat <= req.gate.threshold, axis=1))
     if not passed.size:
         return None
@@ -290,8 +275,12 @@ def identify(req: IdentifyRequest) -> MatchResult:
         req.catalog, req.indexes[0].radius if req.indexes else LUNAR_RADIUS_KM
     )
     conics = np.array([d.conic() for d in req.detections])
+    # What a request's detections give every triad, computed once.
     unit_conics = normalize_unit_det(conics)
-    forms = _RequestForms.of(req, conics)
+    kt = k_matrix(req.intrinsics) @ req.attitude
+    moon_conics = moon_conic(conics, req.attitude, req.intrinsics)
+    gaussians = conic_to_gaussian(conics)
+    axes = np.array([(d.a, d.b) for d in req.detections])
     tried = 0
     for triple in eps_enumerate(len(req.detections)):
         if tried >= req.max_triads:
@@ -314,7 +303,9 @@ def identify(req: IdentifyRequest) -> MatchResult:
                         hypotheses.append(
                             [(obs_order[(r + m) % 3], cid) for m, cid in enumerate(entry.ids)]
                         )
-            result = _verify_triad(req, hypotheses, geometry, forms, index.radius)
+            result = _verify_triad(
+                req, hypotheses, geometry, kt, moon_conics, gaussians, axes, index.radius
+            )
             if result is not None:
                 result.triads_tried = tried
                 result.scale_name = index.scale.name

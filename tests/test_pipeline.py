@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from craterid.camera import look_at_pose, projection_matrix
+from craterid.camera import k_matrix, look_at_pose, projection_matrix
 from craterid.conic2d import conic_to_ellipse
 from craterid.crater3d import LUNAR_RADIUS_KM, crater_center
 from craterid.errors import CraterIdError
 from craterid.index import build_index
-from craterid.metrics import GateConfig
+from craterid.pose import moon_conic
+from craterid.metrics import GateConfig, conic_to_gaussian
 from craterid.pipeline import (
     Detection,
     IdentifyRequest,
@@ -353,12 +354,18 @@ def test_batched_gate_rejects_a_failed_element(
     assert len(dets) >= 4
     req = _patch_request(dets, patch_pose, apollo_camera, patch_index, patch_records)
     geometry = SceneGeometry.build(patch_records)
-    forms = pipeline_mod._RequestForms.of(req, np.array([d.conic() for d in dets]))
+    conics = np.array([d.conic() for d in dets])
+    kt = k_matrix(apollo_camera) @ patch_pose.t_mc
+    moon_conics = moon_conic(conics, patch_pose.t_mc, apollo_camera)
+    axes = np.array([(d.a, d.b) for d in dets])
+    forms = (kt, moon_conics, conic_to_gaussian(conics), axes)
     first = [(k, truth[k]) for k in (0, 1, 2)]
     second = [(k, truth[k]) for k in (0, 1, 3)]
 
     def verify():
-        return pipeline_mod._verify_triad(req, [first, second], geometry, forms, LUNAR_RADIUS_KM)
+        return pipeline_mod._verify_triad(
+            req, [first, second], geometry, *forms, LUNAR_RADIUS_KM
+        )
 
     assert verify().correspondences == dict(first)
     real = getattr(pipeline_mod, stage)
