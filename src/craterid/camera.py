@@ -135,27 +135,22 @@ def project_disk_quadric(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def crater_homography(p: np.ndarray, frame: CraterFrame) -> np.ndarray:
-    """Homography from the crater's in-plane coordinates to image pixels."""
-    basis = np.vstack([frame.h_m, np.array([0.0, 0.0, 1.0])])
-    h = p @ basis
+    """Homography from the crater's in-plane coordinates to image pixels;
+    ``frame`` is one row of a crater table."""
+    h = p @ np.vstack([np.column_stack([frame.t_em[:, :2], frame.p_c]), [0.0, 0.0, 1.0]])
     if abs(np.linalg.det(h)) < 1e-12 * np.linalg.norm(h, ord="fro") ** 3:
         raise SingularHomographyError("view direction lies in the crater plane")
     return h
 
 
-def crater_visible(
-    pose: CameraPose,
-    intr: Intrinsics,
-    frame: CraterFrame,
-    q: np.ndarray,
-) -> bool:
-    """Full-ellipse visibility test.
+def crater_visible(pose: CameraPose, intr: Intrinsics, frame: CraterFrame) -> bool:
+    """Full-ellipse visibility test of one row ``frame`` of a crater table.
 
     True when the crater faces the camera and the complete projected rim
     bounding box lies inside the image bounds (when the intrinsics carry a
     size).  Partially visible rims are treated as not visible.
     """
-    if frame.u @ (pose.r_m - frame.p_c) <= 0.0:
+    if frame.t_em[:, 2] @ (pose.r_m - frame.p_c) <= 0.0:
         return False
     p = projection_matrix(intr, pose)
     # Behind-camera check on the rim center.
@@ -163,7 +158,7 @@ def crater_visible(
     if xh[2] <= 0.0:
         return False
     try:
-        ell = conic_to_ellipse(project_disk_quadric(p, q))
+        ell = conic_to_ellipse(project_disk_quadric(p, frame.quadric))
     except CraterIdError:
         return False
     return rim_inside_image(ell, intr)

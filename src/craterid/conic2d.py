@@ -27,6 +27,7 @@ from .errors import (
 __all__ = [
     "EllipseParams",
     "ellipse_to_conic",
+    "axes_to_conic",
     "conic_to_ellipse",
     "conic_center",
     "is_proper_ellipse",
@@ -65,21 +66,22 @@ def ellipse_to_conic(e: EllipseParams) -> np.ndarray:
     The returned scale is the one for which interior points give a negative
     quadratic form and ``B^2 - 4AC = -4 a^2 b^2`` holds exactly.
     """
-    sp, cp = np.sin(e.psi), np.cos(e.psi)
-    a2, b2 = e.a * e.a, e.b * e.b
+    return axes_to_conic(e.a, e.b, e.psi, e.xc, e.yc)
+
+
+def axes_to_conic(a, b, psi, xc=0.0, yc=0.0) -> np.ndarray:
+    """:func:`ellipse_to_conic` of unchecked parameters, ``psi`` already in
+    [0, pi); arrays of them, of one shape, give a stack ``(..., 3, 3)``."""
+    sp, cp = np.sin(psi), np.cos(psi)
+    a2, b2 = a * a, b * b
     A = a2 * sp * sp + b2 * cp * cp
     B = 2.0 * (b2 - a2) * cp * sp
     C = a2 * cp * cp + b2 * sp * sp
-    D = -2.0 * A * e.xc - B * e.yc
-    F = -B * e.xc - 2.0 * C * e.yc
-    G = A * e.xc * e.xc + B * e.xc * e.yc + C * e.yc * e.yc - a2 * b2
-    return np.array(
-        [
-            [A, B / 2.0, D / 2.0],
-            [B / 2.0, C, F / 2.0],
-            [D / 2.0, F / 2.0, G],
-        ]
-    )
+    D = -2.0 * A * xc - B * yc
+    F = -B * xc - 2.0 * C * yc
+    G = A * xc * xc + B * xc * yc + C * yc * yc - a2 * b2
+    out = np.array([[A, B / 2.0, D / 2.0], [B / 2.0, C, F / 2.0], [D / 2.0, F / 2.0, G]])
+    return out if out.ndim == 2 else np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
 
 
 def is_proper_ellipse(c: np.ndarray):

@@ -1,9 +1,10 @@
 """3D representation of catalog craters on a (spherical) Moon.
 
-A crater is a planar elliptical rim.  From a catalog record we build the
-selenographic rim center, a local East-North-Up frame, the supporting plane,
-the plane-to-Moon homography basis, the rim conic in plane coordinates, and
-the rank-3 disk quadric that encodes the rim as a quadric envelope.
+A crater is a planar elliptical rim.  From catalog records one array pass
+(:func:`crater_frames`) builds each crater's selenographic rim center, its
+local East-North-Up rotation, the rim conic in the rim plane's coordinates,
+and the rank-3 disk quadric that encodes the rim as a quadric envelope.
+The result is one table, ``CraterFrame``, with a row per crater.
 Kilometers and radians throughout; degrees only at I/O boundaries.
 """
 
@@ -11,26 +12,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .conic2d import EllipseParams, adjugate, ellipse_to_conic
+from .conic2d import adjugate, axes_to_conic
 from .errors import InvalidAxesError, PolarSingularityError
 
 __all__ = [
     "LUNAR_RADIUS_KM",
     "CraterRecord",
     "CraterFrame",
-    "LunarQuadric",
     "crater_center",
-    "enu_frame",
-    "crater_plane",
-    "plane_offset",
+    "crater_frames",
     "build_frame",
     "disk_quadric",
     "conic_disk_quadric",
-    "disk_quadric_from_plane_frame",
-    "sphere_quadric",
 ]
 
 LUNAR_RADIUS_KM = 1737.4
@@ -80,25 +77,20 @@ class CraterRecord:
 
 @dataclass(frozen=True)
 class CraterFrame:
-    """Derived 3D geometry of one crater; the disk quadric, the pose solve and
+    """Derived 3D geometry of n craters, one row each; ``frames[i]`` is the
+    row of one crater and ``frames[rows]`` a sub-table.  The pose solve and
     the index's tangent-plane conics read the rim from ``conic``."""
 
-    p_c: np.ndarray  # selenographic rim center, km
-    e: np.ndarray
-    n: np.ndarray
-    u: np.ndarray
-    t_em: np.ndarray  # 3x3, ENU -> selenographic
-    pi: np.ndarray  # 4-vector plane coefficients
-    h_m: np.ndarray  # 3x3 homography basis [t1 t2 p_c]
-    conic: np.ndarray  # 3x3 rim conic in plane coordinates (axes t_em[:, :2], origin p_c)
+    p_c: np.ndarray  # (n, 3) selenographic rim centers, km
+    t_em: np.ndarray  # (n, 3, 3) ENU -> selenographic, columns East, North, Up
+    conic: np.ndarray  # (n, 3, 3) rim conics in the rim plane (axes t_em[:, :, :2], origin p_c)
+    quadric: np.ndarray  # (n, 4, 4) rank-3 disk quadrics of the rims
 
+    def __len__(self) -> int:
+        return len(self.p_c)
 
-@dataclass(frozen=True)
-class LunarQuadric:
-    """Reference surface as a 4x4 quadric locus."""
-
-    q: np.ndarray
-    radius: float
+    def __getitem__(self, rows) -> "CraterFrame":
+        return CraterFrame(self.p_c[rows], self.t_em[rows], self.conic[rows], self.quadric[rows])
 
 
 def crater_center(lat: float, lon: float, rho: float) -> np.ndarray:
@@ -109,92 +101,72 @@ def crater_center(lat: float, lon: float, rho: float) -> np.ndarray:
     return rho * np.array([cl * np.cos(lon), cl * np.sin(lon), np.sin(lat)])
 
 
-def enu_frame(p_c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Local East/North/Up unit vectors and the attitude matrix [e n u].
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms ``(n, 1)`` of the rows of ``x``, each the product
+    ``x_i . x_i`` that a single vector's ``np.linalg.norm`` takes."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0])
 
-    Up is radial (spherical-Moon normal assumption).  Raises
-    ``PolarSingularityError`` when the point is at a pole and East is
-    undefined.
+
+def crater_frames(
+    records: Sequence[CraterRecord], radius: float = LUNAR_RADIUS_KM
+) -> CraterFrame:
+    """The 3D frames of catalog craters, as one table in record order.
+
+    The rim plane lies at the geometric-mean rim radius ``sqrt(a b)`` below
+    the reference sphere, so a circular rim lies exactly on it.  Up is
+    radial (spherical-Moon normal assumption), East is ``pole x Up`` and
+    North completes the frame; ``psi`` is measured from East.  Raises
+    ``InvalidAxesError`` for a rim larger than the sphere and
+    ``PolarSingularityError`` for a crater at a pole, where East is
+    undefined, naming the first such record.
     """
-    u = p_c / np.linalg.norm(p_c)
+    lat, lon, a, b, psi = np.array(
+        [(r.lat, r.lon, r.a, r.b, r.psi) for r in records], dtype=float
+    ).reshape(-1, 5).T
+    eff2 = a * b
+    too_big = eff2 >= radius * radius
+    if too_big.any():
+        rid = records[np.argmax(too_big)].id
+        raise InvalidAxesError(f"{rid}: rim larger than the reference sphere")
+    rho = np.sqrt(radius * radius - eff2)
+    cl = np.cos(lat)
+    # crater_center's arithmetic on arrays; it stays scalar, where it is cheap.
+    p_c = rho[:, None] * np.stack([cl * np.cos(lon), cl * np.sin(lon), np.sin(lat)], axis=1)
+    u = p_c / _norms(p_c)
     ke = np.cross(_POLE, u)
-    nke = np.linalg.norm(ke)
-    if nke < 1e-9:
-        raise PolarSingularityError("crater at a lunar pole; East undefined")
+    nke = _norms(ke)
+    polar = nke[:, 0] < 1e-9
+    if polar.any():
+        rid = records[np.argmax(polar)].id
+        raise PolarSingularityError(f"{rid}: crater at a lunar pole; East undefined")
     e = ke / nke
     n = np.cross(u, e)
-    n /= np.linalg.norm(n)
-    t_em = np.column_stack([e, n, u])
-    return e, n, u, t_em
-
-
-def crater_plane(u: np.ndarray, rho: float) -> np.ndarray:
-    """Plane with unit normal ``u`` at distance ``rho`` from the origin."""
-    return np.append(u, -rho)
-
-
-def plane_offset(rec: CraterRecord, radius: float = LUNAR_RADIUS_KM) -> float:
-    """Distance of the crater plane from the Moon center.
-
-    Uses the geometric-mean rim radius so that a circular rim of radius
-    ``a`` lies exactly on the reference sphere.
-    """
-    eff2 = rec.a * rec.b
-    if eff2 >= radius * radius:
-        raise InvalidAxesError(f"{rec.id}: rim larger than the reference sphere")
-    return float(np.sqrt(radius * radius - eff2))
+    n /= _norms(n)
+    t_em = np.stack([e, n, u], axis=-1)
+    conic = axes_to_conic(a, b, psi % np.pi)
+    h_m = np.concatenate([t_em[:, :, :2], p_c[:, :, None]], axis=2)
+    return CraterFrame(p_c=p_c, t_em=t_em, conic=conic, quadric=conic_disk_quadric(h_m, conic))
 
 
 def build_frame(rec: CraterRecord, radius: float = LUNAR_RADIUS_KM) -> CraterFrame:
-    """Assemble the full 3D frame of a catalog crater."""
-    rho = plane_offset(rec, radius)
-    p_c = crater_center(rec.lat, rec.lon, rho)
-    e, n, u, t_em = enu_frame(p_c)
-    pi = crater_plane(u, rho)
-    h_m = np.column_stack([t_em[:, 0], t_em[:, 1], p_c])
-    conic = ellipse_to_conic(EllipseParams(a=rec.a, b=rec.b, psi=rec.psi))
-    return CraterFrame(p_c=p_c, e=e, n=n, u=u, t_em=t_em, pi=pi, h_m=h_m, conic=conic)
+    """The frame of one catalog crater: a row of :func:`crater_frames`."""
+    return crater_frames([rec], radius)[0]
 
 
 def conic_disk_quadric(h_m: np.ndarray, conic: np.ndarray) -> np.ndarray:
     """Rank-3 4x4 quadric envelope of the plane rim ``conic`` placed in space
-    by the basis ``h_m = [t1 t2 center]``.
+    by the basis ``h_m = [t1 t2 center]``; stacks ``(..., 3, 3)`` of both
+    give ``(..., 4, 4)``.
 
     Planes ``pi`` tangent to the rim satisfy ``pi^T Q pi = 0``.
     """
-    basis = np.vstack([h_m, np.array([0.0, 0.0, 1.0])])
-    q = basis @ adjugate(conic) @ basis.T
-    return 0.5 * (q + q.T)
+    bottom = np.broadcast_to([0.0, 0.0, 1.0], h_m.shape[:-2] + (1, 3))
+    basis = np.concatenate([h_m, bottom], axis=-2)
+    q = basis @ adjugate(conic) @ basis.mT
+    return 0.5 * (q + q.mT)
 
 
 def disk_quadric(rec: CraterRecord, radius: float = LUNAR_RADIUS_KM) -> np.ndarray:
     """Disk quadric of the crater rim: the ellipse lies in the crater's ENU
     plane with ``psi`` measured from East."""
-    frame = build_frame(rec, radius)
-    return conic_disk_quadric(frame.h_m, frame.conic)
-
-
-def disk_quadric_from_plane_frame(
-    t1: np.ndarray,
-    t2: np.ndarray,
-    center: np.ndarray,
-    a: float,
-    b: float,
-    psi: float = 0.0,
-) -> np.ndarray:
-    """Disk quadric of an ellipse lying in an explicitly given plane frame.
-
-    ``t1``/``t2`` are orthonormal in-plane axes and ``center`` the 3D ellipse
-    center.  Useful for geometry that has no meaningful ENU frame (e.g.
-    polar test configurations).
-    """
-    h_m = np.column_stack([t1, t2, center])
-    return conic_disk_quadric(h_m, ellipse_to_conic(EllipseParams(a=a, b=b, psi=psi)))
-
-
-def sphere_quadric(radius: float = LUNAR_RADIUS_KM) -> LunarQuadric:
-    """Quadric locus of a sphere of the given radius about the origin."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    q = np.diag([1.0 / radius**2, 1.0 / radius**2, 1.0 / radius**2, -1.0])
-    return LunarQuadric(q=q, radius=radius)
+    return build_frame(rec, radius).quadric

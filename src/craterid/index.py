@@ -27,9 +27,10 @@ from .camera import Intrinsics, look_at_pose, projection_matrix, project_disk_qu
 from .conic2d import normalize_unit_det
 from .crater3d import (
     LUNAR_RADIUS_KM,
+    CraterFrame,
     CraterRecord,
-    build_frame,
     crater_center,
+    crater_frames,
     disk_quadric,
 )
 from .errors import (
@@ -175,10 +176,12 @@ def load_catalog(path: str | Path) -> tuple[list[CraterRecord], list[str]]:
 
     Angles are degrees in the file (orientation counterclockwise from local
     East), radians in memory.  Returns the valid records plus per-row
-    problems ("line N: reason"); malformed rows are skipped, not fatal.
+    problems ("line N: reason"); malformed rows, and rows whose id repeats
+    an earlier valid row's, are skipped, not fatal.
     """
     records: list[CraterRecord] = []
     problems: list[str] = []
+    first_line: dict[str, int] = {}
     for lineno, cells in read_csv_rows(path, CATALOG_HEADER):
         if len(cells) != 7:
             problems.append(f"line {lineno}: expected 7 fields, got {len(cells)}")
@@ -198,6 +201,9 @@ def load_catalog(path: str | Path) -> tuple[list[CraterRecord], list[str]]:
             )
         except (ValueError, CraterIdError) as exc:
             problems.append(f"line {lineno}: {exc}")
+            continue
+        if first_line.setdefault(rec.id, lineno) != lineno:
+            problems.append(f"line {lineno}: id {rec.id} repeats line {first_line[rec.id]}")
             continue
         records.append(rec)
     return records, problems
@@ -350,22 +356,22 @@ def enumerate_triads(
     return out
 
 
-def _tangent_plane_conics(frames: list, mean_dir: np.ndarray, radius: float) -> np.ndarray:
-    """Orthogonal projection of three rims onto the tangent plane at the
-    triad mean direction, as a stack of det-normalized 2D conics (NaN where
-    singular, which ``coplanar_triad`` refuses)."""
+def _tangent_plane_conics(frames: CraterFrame, mean_dir: np.ndarray, radius: float) -> np.ndarray:
+    """Orthogonal projection of a triad's rims (a 3-row table) onto the
+    tangent plane at the triad mean direction, as a stack of det-normalized
+    2D conics (NaN where singular, which ``coplanar_triad`` refuses)."""
     e, n = _tangent_basis(mean_dir)
     basis = np.column_stack([e, n])
     origin = radius * mean_dir
     out = []
-    for frame in frames:
-        m2 = basis.T @ frame.t_em[:, :2]  # in-plane axes -> tangent plane
-        t0 = basis.T @ (frame.p_c - origin)
+    for t_em, p_c, conic in zip(frames.t_em, frames.p_c, frames.conic):
+        m2 = basis.T @ t_em[:, :2]  # in-plane axes -> tangent plane
+        t0 = basis.T @ (p_c - origin)
         m = np.eye(3)
         m[:2, :2] = m2
         m[:2, 2] = t0
         mi = np.linalg.inv(m)
-        out.append(mi.T @ frame.conic @ mi)
+        out.append(mi.T @ conic @ mi)
     return normalize_unit_det(np.array(out))
 
 
@@ -453,7 +459,7 @@ def build_index(
     units = [crater_center(r.lat, r.lon, 1.0) for r in usable]
     coplanar = scale.descriptor_kind == "coplanar7"
     if coplanar:
-        frames = [build_frame(r, radius) for r in usable]
+        frames = crater_frames(usable, radius)
     else:
         quads = [disk_quadric(r, radius) for r in usable]
     entries: list[TriadEntry] = []
@@ -464,7 +470,7 @@ def build_index(
         mean = mean / np.linalg.norm(mean)
         try:
             if coplanar:
-                cs = _tangent_plane_conics([frames[t] for t in tri], mean, radius)
+                cs = _tangent_plane_conics(frames[list(tri)], mean, radius)
                 inv = coplanar_triad(*cs)
             else:
                 cs = _canonical_view_conics([quads[t] for t in tri], mean, radius)

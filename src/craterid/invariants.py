@@ -38,14 +38,12 @@ from .errors import (
 
 __all__ = [
     "TriadDescriptor",
-    "coplanar_pair",
     "coplanar_triad",
     "noncoplanar_triad",
     "cayley_klein_distance",
     "cyclic_F",
     "pair_G",
     "make_descriptor",
-    "p2_nine_descriptor",
     "rotate_descriptor_values",
     "query_rotations",
 ]
@@ -77,16 +75,6 @@ def _condition_frame(conics: np.ndarray) -> np.ndarray:
     if np.isnan(out).any():
         raise SingularConicError("cannot determinant-normalize a singular conic")
     return out
-
-
-def coplanar_pair(ai: np.ndarray, aj: np.ndarray) -> tuple[float, float]:
-    """The two trace invariants of a determinant-normalized conic pair."""
-    pair = np.array([ai, aj])
-    _check_unit_det(pair)
-    ai, aj = _condition_frame(pair)
-    i_ij = float(np.trace(adjugate(ai) @ aj))
-    i_ji = float(np.trace(adjugate(aj) @ ai))
-    return i_ij, i_ji
 
 
 def coplanar_triad(ai: np.ndarray, aj: np.ndarray, ak: np.ndarray) -> np.ndarray:
@@ -281,9 +269,3 @@ def query_rotations(
     rotations = [(first + off) % 3 for off in range(3)]
     return [(r, rotate_descriptor_values(vec, r)) for r in rotations]
 
-
-def p2_nine_descriptor(values: np.ndarray) -> np.ndarray:
-    """Nine-element p2 alternative of a coplanar 7-vector:
-    [F(t1), F(t2), Gt(t1, t2), I_ijk]."""
-    _, _, gt1, gt2 = pair_G(*values[:6])
-    return np.array([*cyclic_F(*values[:3]), *cyclic_F(*values[3:6]), gt1, gt2, values[6]])

@@ -46,10 +46,8 @@ __all__ = [
     "conic_to_gaussian",
     "gaussian_angle",
     "jaccard_distance",
-    "gate_sigma",
     "gaussian_angle_sf",
     "gate_statistic",
-    "chi2_gate",
 ]
 
 CHI2_4_P99 = 13.277
@@ -230,16 +228,6 @@ def jaccard_distance(
     return 1.0 - both / union
 
 
-def gate_sigma(a: float, b: float, sigma_img: float) -> float:
-    """The paper's scalar Gaussian-angle noise scale for semi-axes (a, b) px.
-
-    ``(d / gate_sigma)^2`` is chi2(4) only for a near-circular rim whose
-    center error is sqrt(2) times its axis error (0.85 sigma_img); under the
-    iid ``synth_scene`` noise the gate uses ``gate_statistic`` instead.
-    """
-    return 0.85 * sigma_img / np.sqrt(a * b)
-
-
 # Midpoint nodes over half a period of the polar angle (the integrand is
 # even about pi/2).  It is smooth and periodic, so the rule converges
 # geometrically: 16 nodes give a relative error under 1e-12 for a/b <= 2
@@ -303,7 +291,3 @@ def gate_statistic(d, a, b, sigma_img: float):
     stat = chdtri(4.0, gaussian_angle_sf(d, a, b, sigma_img))
     return stat if np.ndim(stat) else float(stat)
 
-
-def chi2_gate(d: float, a: float, b: float, cfg: GateConfig) -> bool:
-    """Accept a correspondence when its gate statistic is under the threshold."""
-    return bool(gate_statistic(d, a, b, cfg.sigma_img) <= cfg.threshold)

@@ -10,7 +10,10 @@ call, compared with the detections by Gaussian angle, and gated on the
 chi-square rim-distance statistic.  The first hypothesis in order that
 passes wins; an exhausted search is an explicit no-match.  What is fixed
 for a request (``K T``, the detection conics, their unit-determinant,
-Moon-frame and Gaussian forms) is computed once.
+Moon-frame and Gaussian forms) is computed once.  The catalog's geometry is
+one crater table (``SceneGeometry``, built in one array pass); a hypothesis
+becomes row numbers once, and the pose solve and the projection read those
+rows.
 """
 
 from __future__ import annotations
@@ -34,13 +37,7 @@ from .camera import (
     rim_inside_image,
 )
 from .conic2d import EllipseParams, conic_to_ellipse, ellipse_to_conic, normalize_unit_det
-from .crater3d import (
-    LUNAR_RADIUS_KM,
-    CraterRecord,
-    build_frame,
-    crater_center,
-    conic_disk_quadric,
-)
+from .crater3d import LUNAR_RADIUS_KM, CraterFrame, CraterRecord, crater_center, crater_frames
 from .errors import CraterIdError, InvalidAxesError, SchemaError
 from .index import DescriptorIndex, read_csv_rows
 from .invariants import coplanar_triad, noncoplanar_triad, query_rotations
@@ -94,30 +91,22 @@ class Detection:
 
 @dataclass(frozen=True)
 class SceneGeometry:
-    """Precomputed per-crater 3D geometry, reusable across trials."""
+    """The catalog's crater table, reusable across trials: ``frames`` has
+    one row per record, and ``row`` maps a crater id to its row."""
 
     records: tuple[CraterRecord, ...]
-    frames: tuple
-    quadrics: tuple[np.ndarray, ...]
-    centers: np.ndarray  # (n, 3) km
-    normals: np.ndarray  # (n, 3)
-    by_id: dict
+    frames: CraterFrame
+    row: dict[str, int]
 
     @classmethod
     def build(
         cls, records: Sequence[CraterRecord], radius: float = LUNAR_RADIUS_KM
     ) -> "SceneGeometry":
-        frames = [build_frame(r, radius) for r in records]
-        quads = [conic_disk_quadric(f.h_m, f.conic) for f in frames]
-        by_id = {r.id: (r, f, q) for r, f, q in zip(records, frames, quads)}
-        return cls(
-            records=tuple(records),
-            frames=tuple(frames),
-            quadrics=tuple(quads),
-            centers=np.array([f.p_c for f in frames]),
-            normals=np.array([f.u for f in frames]),
-            by_id=by_id,
-        )
+        row: dict[str, int] = {}
+        for i, r in enumerate(records):
+            if row.setdefault(r.id, i) != i:
+                raise CraterIdError(f"crater id {r.id} repeats in the catalog")
+        return cls(records=tuple(records), frames=crater_frames(records, radius), row=row)
 
 
 @dataclass
@@ -224,29 +213,33 @@ def _verify_triad(
     threshold.  ``req.verify`` off accepts the first solution outside the
     Moon.
     """
-    solved: list[tuple[list[tuple[int, str]], np.ndarray]] = []
+    # Of each hypothesis solved outside the Moon: its pairs, detection
+    # indices, table rows and position.
+    kept, det_idx, crater_rows, r_m = [], [], [], []
     for pairs in hypotheses:
-        if not all(cid in geometry.by_id for _, cid in pairs):
+        rows = [geometry.row.get(cid) for _, cid in pairs]
+        if None in rows:
             continue
+        ks = [k for k, _ in pairs]
         try:
-            est = solve_position(
-                [(moon_conics[k], geometry.by_id[cid][1]) for k, cid in pairs], radius
-            )
+            est = solve_position(moon_conics[ks], geometry.frames[rows], radius)
         except CraterIdError:
             continue
         if est.inside_moon:
             continue
         if not req.verify:
             return MatchResult(status="matched", correspondences=dict(pairs), r_m=est.r_m)
-        solved.append((pairs, est.r_m))
-    if not solved:
+        kept.append(pairs)
+        det_idx.append(ks)
+        crater_rows.append(rows)
+        r_m.append(est.r_m)
+    if not kept:
         return None
-    det_idx = np.array([[k for k, _ in pairs] for pairs, _ in solved])
-    quads = np.array([[geometry.by_id[cid][2] for _, cid in pairs] for pairs, _ in solved])
-    r_m = np.array([r for _, r in solved])
+    det_idx, r_m = np.array(det_idx), np.array(r_m)
+    quads = geometry.frames.quadric[crater_rows]
     # P = K T [I | -r] per hypothesis.
     p = np.concatenate(
-        [np.broadcast_to(kt, (len(solved), 3, 3)), -(r_m @ kt.T)[:, :, None]], axis=2
+        [np.broadcast_to(kt, (len(kept), 3, 3)), -(r_m @ kt.T)[:, :, None]], axis=2
     )
     rims = conic_to_gaussian(project_disk_quadric(p[:, None], quads))
     dets = GaussianEllipse(y=gaussians.y[det_idx], shape=gaussians.shape[det_idx])
@@ -257,7 +250,7 @@ def _verify_triad(
     if not passed.size:
         return None
     h = passed[0]
-    pairs = solved[h][0]
+    pairs = kept[h]
     per_crater = [
         {"crater_id": cid, "d_ga": float(dk), "stat": float(sk)}
         for (_, cid), dk, sk in zip(pairs, d[h], stat[h])
@@ -337,8 +330,10 @@ def synth_scene(
     p = projection_matrix(intr, pose)
     # Cheap batched prefilter: crater faces the camera and its center
     # projects inside the frame; the exact full-rim test runs on survivors.
-    facing = np.einsum("ni,ni->n", geom.normals, pose.r_m[None, :] - geom.centers) > 0.0
-    hom = geom.centers @ p[:, :3].T + p[:, 3]
+    centers = geom.frames.p_c
+    up = geom.frames.t_em[:, :, 2]
+    facing = np.einsum("ni,ni->n", up, pose.r_m[None, :] - centers) > 0.0
+    hom = centers @ p[:, :3].T + p[:, 3]
     in_front = hom[:, 2] > 0.0
     cand = facing & in_front
     if intr.rows > 0 and intr.cols > 0:
@@ -353,7 +348,7 @@ def synth_scene(
     for i in np.flatnonzero(cand):
         rec = geom.records[i]
         try:
-            ell = conic_to_ellipse(project_disk_quadric(p, geom.quadrics[i]))
+            ell = conic_to_ellipse(project_disk_quadric(p, geom.frames.quadric[i]))
         except CraterIdError:
             continue
         if not rim_inside_image(ell, intr):

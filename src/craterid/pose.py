@@ -2,16 +2,16 @@
 
 With known attitude and intrinsics, each crater constrains the camera
 position through the homography relation between its image conic and its
-in-plane catalog conic.  A correspondence is a pair (:func:`moon_conic` of
-the image conic, ``CraterFrame``).  The per-crater relative scale comes first
-from the position-independent 2x2 block; the stacked 2-row linear blocks are
-then solved by orthogonal factorization.
+in-plane catalog conic.  The correspondences are a stack of
+:func:`moon_conic` forms of the image conics and the ``CraterFrame`` table of
+the matching craters, row for row.  The per-crater relative scale comes
+first from the position-independent 2x2 block; the stacked 2-row linear
+blocks are then solved by orthogonal factorization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -56,24 +56,20 @@ def _scale_and_block(
 
 
 def solve_position(
-    pairs: Sequence[tuple[np.ndarray, CraterFrame]],
-    radius: float = LUNAR_RADIUS_KM,
+    moon_conics: np.ndarray, frames: CraterFrame, radius: float = LUNAR_RADIUS_KM
 ) -> PositionEstimate:
-    """Camera position from two or more (Moon-frame conic, frame) pairs.
+    """Camera position from the Moon-frame conics ``(n, 3, 3)`` of n >= 2
+    craters and their n-row frame table.
 
     Stacks the per-crater 2x3 blocks and solves the over-determined system
     in the least-squares sense.  ``inside_moon`` flags estimates within a
     1 km guard band of the reference sphere; callers treat those as
     physically inadmissible.
     """
-    if len(pairs) < 2:
+    if len(frames) < 2:
         raise ValueError("need at least two correspondences")
-    b = np.array([b for b, _ in pairs])
-    t_em = np.array([f.t_em for _, f in pairs])
-    conic = np.array([f.conic for _, f in pairs])
-    p_c = np.array([f.p_c for _, f in pairs])
-    scale, block = _scale_and_block(b, t_em, conic)
-    rhs = (block @ p_c[:, :, None])[:, :, 0] - scale[:, None] * conic[:, :2, 2]
+    scale, block = _scale_and_block(moon_conics, frames.t_em, frames.conic)
+    rhs = (block @ frames.p_c[:, :, None])[:, :, 0] - scale[:, None] * frames.conic[:, :2, 2]
     r_m, _, rank, _ = np.linalg.lstsq(block.reshape(-1, 3), rhs.reshape(-1), rcond=None)
     if rank < 3:
         raise RankDeficientGeometryError("crater geometry does not determine position")

@@ -27,12 +27,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 from craterid.camera import CameraPose, Intrinsics, look_at_pose, projection_matrix
 from craterid.conic2d import EllipseParams, ellipse_to_conic
-from craterid.crater3d import (
-    LUNAR_RADIUS_KM,
-    CraterRecord,
-    crater_center,
-    disk_quadric_from_plane_frame,
-)
+from craterid.crater3d import LUNAR_RADIUS_KM, CraterRecord, conic_disk_quadric, crater_center
 from craterid.index import IndexScale, build_index
 from craterid.pipeline import SceneGeometry, synthetic_catalog
 
@@ -75,6 +70,14 @@ def random_plane_camera(rng: np.random.Generator, intr: Intrinsics) -> np.ndarra
     return p[:, [0, 1, 3]]
 
 
+def plane_disk_quadric(t1, t2, center, a: float, b: float, psi: float = 0.0) -> np.ndarray:
+    """Disk quadric of an ellipse in the plane spanned by the orthonormal axes
+    ``t1``, ``t2`` about ``center``: a frame given explicitly, for geometry
+    with no ENU frame (polar and sphere-cap configurations)."""
+    h_m = np.column_stack([t1, t2, center])
+    return conic_disk_quadric(h_m, ellipse_to_conic(EllipseParams(a=a, b=b, psi=psi)))
+
+
 def sphere_cap_triad(rng: np.random.Generator, radius: float = 1.0):
     """Three disjoint circular rims on a sphere, as disk quadrics.
 
@@ -111,7 +114,7 @@ def sphere_cap_triad(rng: np.random.Generator, radius: float = 1.0):
         t1 = np.cross(helper2, c)
         t1 /= np.linalg.norm(t1)
         t2 = np.cross(c, t1)
-        quads.append(disk_quadric_from_plane_frame(t1, t2, rho * c, rim_r, rim_r))
+        quads.append(plane_disk_quadric(t1, t2, rho * c, rim_r, rim_r))
     return quads, axis
 
 

@@ -24,7 +24,6 @@ from craterid.crater3d import (
     CraterRecord,
     crater_center,
     disk_quadric,
-    disk_quadric_from_plane_frame,
 )
 from craterid.errors import CraterIdError
 from craterid.index import DescriptorIndex, IndexScale, TriadEntry, build_index, enumerate_triads, load_index, save_index
@@ -44,6 +43,7 @@ from craterid.pose import moon_conic, solve_position
 from conftest import (
     acceptance_report as _report,
     overhead_camera,
+    plane_disk_quadric,
     random_ellipse,
     random_plane_camera,
     sphere_cap_triad,
@@ -105,7 +105,7 @@ def _sphere_model_j(ts, cam_pos):
     quads = []
     for t, (t1, t2, ax) in zip(ts, frames):
         rim = np.sqrt(1.0 - t * t)
-        quads.append(disk_quadric_from_plane_frame(t1, t2, t * ax, rim, rim))
+        quads.append(plane_disk_quadric(t1, t2, t * ax, rim, rim))
     intr = Intrinsics(dx=1000, dy=1000, up=500, vp=500)
     pose = look_at_pose(np.asarray(cam_pos, dtype=float), np.zeros(3), up_hint=ez)
     p = projection_matrix(intr, pose)
@@ -293,12 +293,10 @@ def _pose_trial(rng, catalog, geometry, intr, altitude, sigma_img, radius=LUNAR_
     dets, truth = synth_scene(catalog, pose, intr, sigma_img, rng, radius, geometry)
     if len(dets) < 3:
         return None
-    pairs = [
-        (moon_conic(dets[i].conic(), pose.t_mc, intr), geometry.by_id[truth[i]][1])
-        for i in list(truth)[:3]
-    ]
+    first = list(truth)[:3]
+    conics = moon_conic(np.array([dets[i].conic() for i in first]), pose.t_mc, intr)
     try:
-        est = solve_position(pairs)
+        est = solve_position(conics, geometry.frames[[geometry.row[truth[i]] for i in first]])
     except CraterIdError:
         return None
     return 1000.0 * float(np.linalg.norm(est.r_m - pose.r_m))

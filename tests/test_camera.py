@@ -116,7 +116,7 @@ def test_projection_consistent_with_rim_point_sampling():
         rec = CraterRecord("s", rec.lat, rec.lon, rec.a, min(rec.a, rec.b), rec.psi)
         f = build_frame(rec)
         cam_r = f.p_c * (1.0 + rng.uniform(0.05, 0.3))
-        pose = look_at_pose(cam_r, np.zeros(3), up_hint=f.e)
+        pose = look_at_pose(cam_r, np.zeros(3), up_hint=f.t_em[:, 0])
         p = projection_matrix(intr, pose)
         locus = project_disk_quadric(p, disk_quadric(rec))
         # Independent oracle: project 64 rim points, fit the implicit conic.
@@ -158,8 +158,8 @@ def test_envelope_and_homography_routes_agree():
         )
         rec = CraterRecord("h", rec.lat, rec.lon, rec.a, min(rec.a, rec.b), rec.psi)
         f = build_frame(rec)
-        cam_r = f.p_c * rng.uniform(1.02, 1.5) + f.e * rng.uniform(-60, 60)
-        pose = look_at_pose(cam_r, f.p_c, up_hint=f.n)
+        cam_r = f.p_c * rng.uniform(1.02, 1.5) + f.t_em[:, 0] * rng.uniform(-60, 60)
+        pose = look_at_pose(cam_r, f.p_c, up_hint=f.t_em[:, 1])
         p = projection_matrix(intr, pose)
         q = disk_quadric(rec)
         env_route = p @ q @ p.T
@@ -177,7 +177,7 @@ def test_homography_point_route_agrees_with_locus():
     intr = Intrinsics(dx=1000, dy=1000, up=500, vp=500)
     rec = CraterRecord("k", 0.2, 0.3, 10.0, 8.0, 0.5)
     f = build_frame(rec)
-    pose = look_at_pose(f.p_c * 1.1 + f.n * 30, f.p_c, up_hint=f.e)
+    pose = look_at_pose(f.p_c * 1.1 + f.t_em[:, 1] * 30, f.p_c, up_hint=f.t_em[:, 0])
     p = projection_matrix(intr, pose)
     locus = project_disk_quadric(p, disk_quadric(rec))
     h = crater_homography(p, f)
@@ -193,7 +193,7 @@ def test_homography_point_route_agrees_with_locus():
 def test_scale_ambiguity_of_quadric():
     rec = CraterRecord("q", 0.1, 0.1, 9.0, 7.0, 0.3)
     f = build_frame(rec)
-    pose = look_at_pose(f.p_c * 1.08, np.zeros(3), up_hint=f.e)
+    pose = look_at_pose(f.p_c * 1.08, np.zeros(3), up_hint=f.t_em[:, 0])
     intr = Intrinsics(dx=1000, dy=1000, up=500, vp=500)
     p = projection_matrix(intr, pose)
     q = disk_quadric(rec)
@@ -206,8 +206,8 @@ def test_degenerate_view_in_crater_plane():
     rec = CraterRecord("d", 0.0, 0.0, 10.0, 10.0, 0.0)
     f = build_frame(rec)
     # Camera inside the crater plane, looking along it.
-    r_cam = f.p_c + f.e * 500.0
-    pose = look_at_pose(r_cam, f.p_c, up_hint=f.u)
+    r_cam = f.p_c + f.t_em[:, 0] * 500.0
+    pose = look_at_pose(r_cam, f.p_c, up_hint=f.t_em[:, 2])
     p = projection_matrix(Intrinsics(dx=1000, dy=1000), pose)
     with pytest.raises(DegenerateViewError):
         project_disk_quadric(p, disk_quadric(rec))
@@ -220,8 +220,8 @@ def test_visibility_far_side_and_bounds(apollo_camera):
     cam_r = crater_center(0.0, 0.0, radius + 150.0)
     pose = look_at_pose(cam_r, np.zeros(3), up_hint=np.array([0.0, 0.0, 1.0]))
     f_near, f_far = build_frame(rec_near), build_frame(rec_far)
-    assert crater_visible(pose, apollo_camera, f_near, disk_quadric(rec_near))
-    assert not crater_visible(pose, apollo_camera, f_far, disk_quadric(rec_far))
+    assert crater_visible(pose, apollo_camera, f_near)
+    assert not crater_visible(pose, apollo_camera, f_far)
     # A crater whose center projects inside the frame but whose rim crosses
     # the image edge is excluded (partial rims are not emitted).
     # At 150 km the FOV edge sits near 150*tan(36.85 deg)/R = 0.065 rad.
@@ -230,7 +230,7 @@ def test_visibility_far_side_and_bounds(apollo_camera):
     for lat in np.linspace(0.045, 0.068, 40):
         rec_e = CraterRecord("e", lat, 0.0, 10.0, 9.0, 0.1)
         fe = build_frame(rec_e)
-        vis = crater_visible(pose, apollo_camera, fe, disk_quadric(rec_e))
+        vis = crater_visible(pose, apollo_camera, fe)
         try:
             ell = conic_to_ellipse(project_disk_quadric(p, disk_quadric(rec_e)))
             inside = (
@@ -305,13 +305,14 @@ def test_stacked_projection_and_gaussian_angle_match_single_calls():
         CraterRecord(f"c{i}", 0.1 + 0.01 * i, 0.2, 10.0 - i, 8.0 - i, 0.3 * i) for i in range(3)
     ]
     f = build_frame(recs[0])
+    east, _, up = f.t_em.T
     intr = Intrinsics(dx=1000, dy=1000, up=500, vp=500)
     poses = [
-        look_at_pose(f.p_c + 150 * f.u, f.p_c, up_hint=f.e),  # nadir
-        look_at_pose(f.p_c + 100 * f.u + 80 * f.e, f.p_c, up_hint=f.u),  # oblique
-        look_at_pose(f.p_c + 500 * f.e, f.p_c, up_hint=f.u),  # in the plane of crater 0
-        look_at_pose(f.p_c + 150 * f.u, f.p_c + 300 * f.u, up_hint=f.e),  # facing away
-        look_at_pose(f.p_c + f.u, f.p_c + f.u + f.e, up_hint=f.u),  # rim 0 straddles the camera
+        look_at_pose(f.p_c + 150 * up, f.p_c, up_hint=east),  # nadir
+        look_at_pose(f.p_c + 100 * up + 80 * east, f.p_c, up_hint=up),  # oblique
+        look_at_pose(f.p_c + 500 * east, f.p_c, up_hint=up),  # in the plane of crater 0
+        look_at_pose(f.p_c + 150 * up, f.p_c + 300 * up, up_hint=east),  # facing away
+        look_at_pose(f.p_c + up, f.p_c + up + east, up_hint=up),  # rim 0 straddles the camera
     ]
     p = np.array([projection_matrix(intr, pose) for pose in poses])
     q = np.array([[disk_quadric(r) for r in recs]] * len(poses))

@@ -111,6 +111,39 @@ def test_simulate_and_identify_cli(
     assert json.loads(report.read_text())["status"] == "matched"
 
 
+def test_identify_warns_once_on_a_repeated_catalog_id(
+    tmp_path, camera_file, catalog_file, index_file, patch_records, patch_pose, apollo_camera,
+    capsys,
+):
+    # A second row under an existing id is skipped with one warning; the
+    # first row's crater is the one verification uses.
+    dets, _ = synth_scene(patch_records, patch_pose, apollo_camera, 0.2, np.random.default_rng(5))
+    dets_file = tmp_path / "dets.csv"
+    save_detections(dets, dets_file)
+    first = catalog_file.read_text().splitlines()[1].split(",")
+    twin = ",".join([first[0], "-30.0", *first[2:]])
+    dup_catalog = tmp_path / "dup.csv"
+    dup_catalog.write_text(catalog_file.read_text() + twin + "\n")
+    capsys.readouterr()
+    rc = main(
+        [
+            "identify",
+            "--detections", str(dets_file),
+            "--camera", str(camera_file),
+            "--attitude", _attitude_arg(patch_pose),
+            "--index", str(index_file),
+            "--catalog", str(dup_catalog),
+            "--sigma-img", "0.25",
+        ]
+    )
+    captured = capsys.readouterr()
+    warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1 and f"id {first[0]} repeats line 2" in warnings[0]
+    assert "Traceback" not in captured.err
+    assert rc == 0
+    assert json.loads(captured.out.strip().splitlines()[-1])["status"] == "matched"
+
+
 def test_identify_no_match_exit_code(tmp_path, camera_file, catalog_file, index_file, capsys):
     # Detections that correspond to nothing: far-apart synthetic blobs.
     dets_file = tmp_path / "noise.csv"

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
+from craterid.conic2d import EllipseParams, ellipse_to_conic
 from craterid.crater3d import (
     LUNAR_RADIUS_KM,
     CraterRecord,
     build_frame,
+    conic_disk_quadric,
     crater_center,
-    crater_plane,
+    crater_frames,
     disk_quadric,
-    disk_quadric_from_plane_frame,
-    enu_frame,
-    plane_offset,
-    sphere_quadric,
 )
 from craterid.errors import InvalidAxesError, PolarSingularityError
+
+
+def _at(p: np.ndarray) -> CraterRecord:
+    """A crater record whose center lies in the direction of ``p``."""
+    lat = np.arcsin(p[2] / np.linalg.norm(p))
+    return CraterRecord("x", lat, np.arctan2(p[1], p[0]), 5.0, 4.0, 0.3)
 
 
 def test_crater_center_examples():
@@ -40,11 +44,11 @@ def test_crater_center_norm_property():
 
 
 def test_enu_frame_examples():
-    e, n, u, t = enu_frame(np.array([1.0, 0.0, 0.0]))
+    e, n, u = crater_frames([_at(np.array([1.0, 0.0, 0.0]))]).t_em[0].T
     assert np.allclose(e, [0, 1, 0])
     assert np.allclose(n, [0, 0, 1])
     assert np.allclose(u, [1, 0, 0])
-    e, n, u, _ = enu_frame(np.array([0.0, 1.0, 0.0]))
+    e, n, u = crater_frames([_at(np.array([0.0, 1.0, 0.0]))]).t_em[0].T
     assert np.allclose(e, [-1, 0, 0])
     assert np.allclose(n, [0, 0, 1])
     assert np.allclose(u, [0, 1, 0])
@@ -52,59 +56,53 @@ def test_enu_frame_examples():
 
 def test_enu_orthonormal_right_handed():
     rng = np.random.default_rng(1)
-    for _ in range(300):
-        p = rng.normal(size=3)
-        if np.linalg.norm(p[:2]) < 1e-3:
-            continue
-        e, n, u, t = enu_frame(p * 1500.0)
+    points = [p for p in rng.normal(size=(300, 3)) if np.linalg.norm(p[:2]) >= 1e-3]
+    frames = crater_frames([_at(p) for p in points])
+    for t in frames.t_em:
         assert np.allclose(t.T @ t, np.eye(3), atol=1e-12)
         assert np.linalg.det(t) == pytest.approx(1.0)
-        assert abs(e[2]) < 1e-15  # East is horizontal
+        assert abs(t[2, 0]) < 1e-15  # East is horizontal
 
 
 def test_enu_polar_singularity():
     with pytest.raises(PolarSingularityError):
-        enu_frame(np.array([0.0, 0.0, 1737.4]))
+        crater_frames([_at(np.array([0.0, 0.0, 1737.4]))])
 
 
 def test_crater_plane():
-    assert np.allclose(crater_plane(np.array([0.0, 0.0, 1.0]), 1.0), [0, 0, 1, -1])
+    # The rim plane has the radial unit normal and lies sqrt(R^2 - ab) from
+    # the Moon's center, through the rim center.
     r = LUNAR_RADIUS_KM
-    pi = crater_plane(np.array([1.0, 0.0, 0.0]), r)
-    assert np.allclose(pi, [1, 0, 0, -r])
-    assert pi @ np.array([r, 0, 0, 1.0]) == pytest.approx(0.0)
+    f = build_frame(CraterRecord("c", 0.0, 0.0, a=10.0, b=10.0, psi=0.0), r)
+    assert np.allclose(f.t_em[:, 2], [1, 0, 0])
+    assert np.allclose(f.p_c, [np.sqrt(r * r - 100.0), 0, 0])
 
 
 def test_center_lies_in_plane():
     rng = np.random.default_rng(2)
+    recs = []
     for _ in range(100):
-        rec = CraterRecord(
-            "x",
-            rng.uniform(-1.2, 1.2),
-            rng.uniform(-np.pi, np.pi),
-            rng.uniform(2, 20),
-            rng.uniform(1, 2),
-            0.0,
-        )
-        rec = CraterRecord("x", rec.lat, rec.lon, rec.a, min(rec.b, rec.a), 0.0)
-        f = build_frame(rec)
-        assert abs(f.pi @ np.append(f.p_c, 1.0)) < 1e-9 * LUNAR_RADIUS_KM
+        lat, lon = rng.uniform(-1.2, 1.2), rng.uniform(-np.pi, np.pi)
+        a, b = rng.uniform(2, 20), rng.uniform(1, 2)
+        recs.append(CraterRecord("x", lat, lon, a, min(a, b), 0.0))
+    frames = crater_frames(recs)
+    for rec, p_c, t_em in zip(recs, frames.p_c, frames.t_em):
+        rho = np.sqrt(LUNAR_RADIUS_KM**2 - rec.a * rec.b)
+        assert abs(t_em[:, 2] @ p_c - rho) < 1e-9 * LUNAR_RADIUS_KM
 
 
 def test_plane_offset_circular_rim_on_sphere():
     # Circular crater: rim points must lie on the sphere and in the plane.
     rec = CraterRecord("c", 0.4, 1.0, a=10.0, b=10.0, psi=0.0)
     r = LUNAR_RADIUS_KM
-    rho = plane_offset(rec, r)
-    assert rho == pytest.approx(np.sqrt(r * r - 100.0))
     f = build_frame(rec, r)
-    sq = sphere_quadric(r)
+    rho = np.linalg.norm(f.p_c)
+    assert rho == pytest.approx(np.sqrt(r * r - 100.0))
     for th in np.linspace(0, 2 * np.pi, 17):
         rim_local = np.array([10.0 * np.cos(th), 10.0 * np.sin(th), 0.0])
         p3 = f.p_c + f.t_em @ rim_local
-        ph = np.append(p3, 1.0)
-        assert abs(ph @ sq.q @ ph) < 1e-9
-        assert abs(f.pi @ ph) < 1e-9 * r
+        assert abs(p3 @ p3 / (r * r) - 1.0) < 1e-9
+        assert abs(f.t_em[:, 2] @ p3 - rho) < 1e-9 * r
 
 
 def test_disk_quadric_rank3():
@@ -153,7 +151,8 @@ def test_disk_quadric_tangent_planes_vanish():
         probe_forms.append(abs(pi @ q @ pi))
     assert max(tangent_forms) < 1e-2 * np.median(probe_forms)
     # The supporting plane spans the quadric kernel: form and image vanish.
-    pi_plane = f.pi / np.linalg.norm(f.pi)
+    pi_plane = np.append(f.t_em[:, 2], -f.t_em[:, 2] @ f.p_c)
+    pi_plane /= np.linalg.norm(pi_plane)
     assert abs(pi_plane @ q @ pi_plane) < 1e-10 * scale
     assert np.linalg.norm(q @ pi_plane) < 1e-8 * scale
 
@@ -164,8 +163,10 @@ def test_disk_quadric_axis_swap_invariance():
     t1 = np.array([0.0, 1.0, 0.0])
     t2 = np.array([0.0, 0.0, 1.0])
     c = np.array([1700.0, 0.0, 0.0])
-    q1 = disk_quadric_from_plane_frame(t1, t2, c, 9.0, 5.0, psi=0.4)
-    q2 = disk_quadric_from_plane_frame(t2, -t1, c, 9.0, 5.0, psi=0.4 - np.pi / 2)
+    rim1 = ellipse_to_conic(EllipseParams(9.0, 5.0, psi=0.4))
+    rim2 = ellipse_to_conic(EllipseParams(9.0, 5.0, psi=0.4 - np.pi / 2))
+    q1 = conic_disk_quadric(np.column_stack([t1, t2, c]), rim1)
+    q2 = conic_disk_quadric(np.column_stack([t2, -t1, c]), rim2)
     s = np.sum(q1 * q2) / np.sum(q2 * q2)
     assert np.allclose(q1, s * q2, atol=1e-9 * np.abs(q1).max())
 
@@ -186,13 +187,47 @@ def test_polar_crater_rejected():
         build_frame(rec)
 
 
-def test_sphere_quadric():
-    sq = sphere_quadric(1.0)
-    assert np.allclose(sq.q, np.diag([1, 1, 1, -1.0]))
-    sq = sphere_quadric(LUNAR_RADIUS_KM)
-    surf = np.array([LUNAR_RADIUS_KM, 0.0, 0.0, 1.0])
-    assert abs(surf @ sq.q @ surf) < 1e-12
-    origin = np.array([0.0, 0.0, 0.0, 1.0])
-    assert origin @ sq.q @ origin == pytest.approx(-1.0)
-    with pytest.raises(ValueError):
-        sphere_quadric(-1.0)
+def _mixed_records(n: int = 40) -> list[CraterRecord]:
+    rng = np.random.default_rng(5)
+    out = []
+    for i in range(n):
+        a = rng.uniform(2.0, 60.0)
+        out.append(
+            CraterRecord(
+                f"m{i}",
+                rng.uniform(-1.5, 1.5),
+                rng.uniform(-np.pi, np.pi),
+                a,
+                a / rng.uniform(1.0, 3.0),
+                rng.uniform(-4.0, 4.0),  # outside [0, pi) too
+            )
+        )
+    return out
+
+
+def test_each_table_row_equals_its_one_record_table():
+    # Stacking changes nothing: row i of an n-crater table is the one-record
+    # table of crater i, bit for bit.
+    recs = _mixed_records()
+    table = crater_frames(recs)
+    assert len(table) == len(recs)
+    assert table.p_c.shape == (len(recs), 3) and table.quadric.shape == (len(recs), 4, 4)
+    for i, rec in enumerate(recs):
+        one = build_frame(rec)
+        row = table[i]
+        for name in ("p_c", "t_em", "conic", "quadric"):
+            assert getattr(row, name).tobytes() == getattr(one, name).tobytes(), (rec.id, name)
+        assert disk_quadric(rec).tobytes() == row.quadric.tobytes()
+    sub = table[[3, 1]]
+    assert len(sub) == 2 and sub.t_em.tobytes() == table.t_em[[3, 1]].tobytes()
+    assert len(crater_frames([])) == 0
+
+
+def test_table_names_the_record_that_fails():
+    recs = _mixed_records(6)
+    polar = CraterRecord("polar", np.pi / 2 - 1e-10, 0.0, 5.0, 5.0, 0.0)
+    huge = CraterRecord("huge", 0.1, 0.2, 1800.0, 1700.0, 0.0)
+    with pytest.raises(PolarSingularityError, match="polar"):
+        crater_frames([*recs[:3], polar, *recs[3:]])
+    with pytest.raises(InvalidAxesError, match="huge"):
+        crater_frames([*recs[:2], huge, *recs[2:]])

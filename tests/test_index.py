@@ -100,6 +100,20 @@ def test_load_catalog_rejects_ids_the_index_cannot_hold(tmp_path):
             CraterRecord(bad, 0.1, 0.2, 5.0, 4.0, 0.0)
 
 
+def test_load_catalog_refuses_repeated_ids(tmp_path):
+    f = tmp_path / "cat.csv"
+    f.write_text(
+        HEADER
+        + "C1, 10, 20, 5, 4, 30, 0.95\n"
+        + "C2, 11, 20, 5, 4, 30, 0.95\n"
+        + "C1, 12, 20, 5, 4, 30, 0.95\n"
+    )
+    records, problems = load_catalog(f)
+    assert [r.id for r in records] == ["C1", "C2"]
+    assert records[0].lat == pytest.approx(np.deg2rad(10.0))  # the first row is kept
+    assert problems == ["line 4: id C1 repeats line 2"]
+
+
 def test_load_catalog_rejects_non_finite_values(tmp_path):
     f = tmp_path / "cat.csv"
     f.write_text(
@@ -142,10 +156,16 @@ def _catalog_records(draw):
 @settings(deadline=None, max_examples=80)
 @given(_catalog_records())
 def test_catalog_round_trip_property(recs):
-    # What load_catalog returns is exactly the record as printed by save_catalog.
+    # What load_catalog returns is exactly the record as printed by save_catalog;
+    # a record whose id repeats an earlier one is skipped with a problem line.
     def printed(v, fmt):
         return float(format(v, fmt))
 
+    first: dict[str, int] = {}
+    repeats = []
+    for i, r in enumerate(recs):  # record i is on line i + 2, below the header
+        if first.setdefault(r.id, i) != i:
+            repeats.append(f"line {i + 2}: id {r.id} repeats line {first[r.id] + 2}")
     expected = [
         CraterRecord(
             id=r.id,
@@ -156,13 +176,14 @@ def test_catalog_round_trip_property(recs):
             psi=np.deg2rad(printed(np.rad2deg(r.psi), ".6f")),
             arc_fraction=printed(r.arc_fraction, ".4f"),
         )
-        for r in recs
+        for i, r in enumerate(recs)
+        if first[r.id] == i
     ]
     with tempfile.TemporaryDirectory() as tmp:
         f = Path(tmp) / "cat.csv"
         save_catalog(recs, f)
         back, problems = load_catalog(f)
-    assert problems == []
+    assert problems == repeats
     assert back == expected
 
 

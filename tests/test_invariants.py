@@ -3,21 +3,24 @@ import pytest
 
 from craterid.camera import Intrinsics, look_at_pose, project_disk_quadric, projection_matrix
 from craterid.conic2d import EllipseParams, ellipse_to_conic, normalize_unit_det
-from craterid.crater3d import disk_quadric_from_plane_frame
 from craterid.errors import AcoshDomainError, NotNormalizedError, OverlapError
 from craterid.invariants import (
-    coplanar_pair,
     coplanar_triad,
     cyclic_F,
     make_descriptor,
     noncoplanar_triad,
-    p2_nine_descriptor,
     pair_G,
     query_rotations,
     rotate_descriptor_values,
 )
 
-from conftest import overhead_camera, random_ellipse, random_plane_camera, sphere_cap_triad
+from conftest import (
+    overhead_camera,
+    plane_disk_quadric,
+    random_ellipse,
+    random_plane_camera,
+    sphere_cap_triad,
+)
 
 
 def _norm_conic(e: EllipseParams) -> np.ndarray:
@@ -27,21 +30,30 @@ def _norm_conic(e: EllipseParams) -> np.ndarray:
 # -- coplanar -----------------------------------------------------------------
 
 
+def _pair(ci: np.ndarray, cj: np.ndarray, ck: np.ndarray) -> tuple[float, float]:
+    """The pair invariants (I_ij, I_ji) of conics i, j, read from the triad
+    (i, j, k)."""
+    inv = coplanar_triad(ci, cj, ck)
+    return inv[0], inv[3]
+
+
 def test_pair_identical_gives_three_three():
     c = _norm_conic(EllipseParams(2, 1, 3, -1, 0.4))
-    assert coplanar_pair(c, c) == pytest.approx((3.0, 3.0))
+    other = _norm_conic(EllipseParams(1, 1, -4, 2))
+    assert _pair(c, c, other) == pytest.approx((3.0, 3.0))
 
 
 def test_pair_requires_normalization():
     c = ellipse_to_conic(EllipseParams(2, 1))
     with pytest.raises(NotNormalizedError):
-        coplanar_pair(c, c)
+        coplanar_triad(c, c, c)
 
 
 def test_pair_symmetric_configuration():
     ci = _norm_conic(EllipseParams(1, 1, 0, 0))
     cj = _norm_conic(EllipseParams(1, 1, 5, 0))
-    i_ij, i_ji = coplanar_pair(ci, cj)
+    ck = _norm_conic(EllipseParams(2, 1, 2, 6, 0.3))
+    i_ij, i_ji = _pair(ci, cj, ck)
     assert i_ij == pytest.approx(i_ji, rel=1e-12)
 
 
@@ -50,12 +62,12 @@ def test_pair_invariance_under_camera_homography(apollo_camera):
     for _ in range(300):
         ci = _norm_conic(random_ellipse(rng))
         cj = _norm_conic(random_ellipse(rng))
+        ck = _norm_conic(random_ellipse(rng))
         h = random_plane_camera(rng, apollo_camera)
         hi = np.linalg.inv(h)
-        ci2 = normalize_unit_det(hi.T @ ci @ hi)
-        cj2 = normalize_unit_det(hi.T @ cj @ hi)
-        before = coplanar_pair(ci, cj)
-        after = coplanar_pair(ci2, cj2)
+        ci2, cj2, ck2 = (normalize_unit_det(hi.T @ c @ hi) for c in (ci, cj, ck))
+        before = _pair(ci, cj, ck)
+        after = _pair(ci2, cj2, ck2)
         assert np.allclose(before, after, atol=1e-9, rtol=1e-9)
 
 
@@ -116,9 +128,9 @@ def test_sphere_model_closed_form():
     rim = np.sqrt(1 - t * t)
     ex, ey, ez = np.eye(3)
     quads = [
-        disk_quadric_from_plane_frame(ey, ez, t * ex, rim, rim),
-        disk_quadric_from_plane_frame(ez, ex, t * ey, rim, rim),
-        disk_quadric_from_plane_frame(ex, ey, t * ez, rim, rim),
+        plane_disk_quadric(ey, ez, t * ex, rim, rim),
+        plane_disk_quadric(ez, ex, t * ey, rim, rim),
+        plane_disk_quadric(ex, ey, t * ez, rim, rim),
     ]
     intr = Intrinsics(dx=1000, dy=1000, up=500, vp=500)
     pose = look_at_pose(np.array([1.8, 1.7, 1.9]), np.zeros(3), up_hint=ez)
@@ -137,9 +149,9 @@ def _sphere_model_conics(ts: np.ndarray, pose_seed: int = 3) -> list[np.ndarray]
     t1, t2, t3 = ts
     ex, ey, ez = np.eye(3)
     quads = [
-        disk_quadric_from_plane_frame(ey, ez, t1 * ex, np.sqrt(1 - t1 * t1), np.sqrt(1 - t1 * t1)),
-        disk_quadric_from_plane_frame(ez, ex, t2 * ey, np.sqrt(1 - t2 * t2), np.sqrt(1 - t2 * t2)),
-        disk_quadric_from_plane_frame(ex, ey, t3 * ez, np.sqrt(1 - t3 * t3), np.sqrt(1 - t3 * t3)),
+        plane_disk_quadric(ey, ez, t1 * ex, np.sqrt(1 - t1 * t1), np.sqrt(1 - t1 * t1)),
+        plane_disk_quadric(ez, ex, t2 * ey, np.sqrt(1 - t2 * t2), np.sqrt(1 - t2 * t2)),
+        plane_disk_quadric(ex, ey, t3 * ez, np.sqrt(1 - t3 * t3), np.sqrt(1 - t3 * t3)),
     ]
     intr = Intrinsics(dx=1000, dy=1000, up=500, vp=500)
     rng = np.random.default_rng(pose_seed)
@@ -349,10 +361,6 @@ def test_descriptor_seven_p2_layout():
     assert d.values[0] == pytest.approx(12.0)  # F1 of first triple
     assert d.values[3] == pytest.approx(21.0)  # F1 of second triple
     assert d.values[6] == pytest.approx(9.0)  # triple invariant
-    nine = p2_nine_descriptor(inv)
-    assert nine.shape == (9,)
-    assert nine[0] == pytest.approx(12.0)
-    assert nine[8] == pytest.approx(9.0)
 
 
 def test_ordered_cyclic_relabels_are_rotations():

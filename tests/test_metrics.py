@@ -7,9 +7,7 @@ from craterid.errors import EmptyUnionError, NotAnEllipseError, NumericAnomalyEr
 from craterid.metrics import (
     CHI2_4_P99,
     GateConfig,
-    chi2_gate,
     conic_to_gaussian,
-    gate_sigma,
     gate_statistic,
     gaussian_angle,
     gaussian_angle_sf,
@@ -216,19 +214,16 @@ def test_gate_threshold_constant():
 
 def test_gate_accept_reject():
     cfg = GateConfig(sigma_img=1.0)
-    sigma = gate_sigma(10.0, 10.0, 1.0)
+    # The paper's scalar noise scale of d for a circular 10 px rim.
+    sigma = 0.85 * 1.0 / np.sqrt(10.0 * 10.0)
     d_accept = sigma * np.sqrt(10.0)
     d_reject = sigma * np.sqrt(20.0)
-    assert chi2_gate(d_accept, 10.0, 10.0, cfg)
-    assert not chi2_gate(d_reject, 10.0, 10.0, cfg)
+    assert gate_statistic(d_accept, 10.0, 10.0, cfg.sigma_img) <= cfg.threshold
+    assert gate_statistic(d_reject, 10.0, 10.0, cfg.sigma_img) > cfg.threshold
     with pytest.raises(ValueError):
-        chi2_gate(0.1, -1.0, 10.0, cfg)
+        gate_statistic(0.1, -1.0, 10.0, cfg.sigma_img)
     with pytest.raises(ValueError):
         GateConfig(sigma_img=0.0)
-
-
-def test_gate_sigma_formula():
-    assert gate_sigma(4.0, 9.0, 2.0) == pytest.approx(0.85 * 2.0 / 6.0)
 
 
 def test_statistic_is_chi2_under_fit_error_model():
@@ -297,5 +292,5 @@ def test_gate_rejects_unrelated_rims_of_elongated_detection():
     # unrelated rims (d = pi/2) must still fail the gate: on d^2, which
     # saturates at (pi/2)^2, this case scored 3.8 and passed.
     cfg = GateConfig(sigma_img=0.5)
-    assert not chi2_gate(0.5 * np.pi, 19.2, 0.35, cfg)
+    assert gate_statistic(0.5 * np.pi, 19.2, 0.35, cfg.sigma_img) > cfg.threshold
     assert gate_statistic(0.5 * np.pi, 19.2, 0.35, 0.5) > 30.0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 from itertools import combinations
@@ -171,14 +172,14 @@ def test_synth_scene_projects_each_crater_once(
     geom = SceneGeometry.build(patch_records)
     visible = [
         r.id
-        for r, f, q in zip(geom.records, geom.frames, geom.quadrics)
-        if camera_mod.crater_visible(patch_pose, apollo_camera, f, q)
+        for i, r in enumerate(geom.records)
+        if camera_mod.crater_visible(patch_pose, apollo_camera, geom.frames[i])
     ]
     real = camera_mod.project_disk_quadric
     projected = []
 
     def counting(p, q):
-        projected.append(id(q))
+        projected.append(q.tobytes())
         return real(p, q)
 
     monkeypatch.setattr(camera_mod, "project_disk_quadric", counting)
@@ -195,19 +196,25 @@ def test_scene_geometry_builds_each_frame_once(monkeypatch, patch_records):
     import craterid.crater3d as crater3d_mod
     import craterid.pipeline as pipeline_mod
 
-    real = crater3d_mod.build_frame
+    real = crater3d_mod.crater_frames
     calls = []
 
-    def counting(rec, radius=LUNAR_RADIUS_KM):
-        calls.append(rec.id)
-        return real(rec, radius)
+    def counting(records, radius=LUNAR_RADIUS_KM):
+        calls.append([r.id for r in records])
+        return real(records, radius)
 
-    monkeypatch.setattr(crater3d_mod, "build_frame", counting)
-    monkeypatch.setattr(pipeline_mod, "build_frame", counting)
+    monkeypatch.setattr(crater3d_mod, "crater_frames", counting)
+    monkeypatch.setattr(pipeline_mod, "crater_frames", counting)
     geom = SceneGeometry.build(patch_records)
-    assert len(calls) == len(patch_records)
-    for rec, q in zip(patch_records, geom.quadrics):
+    assert calls == [[r.id for r in patch_records]]
+    for rec, q in zip(patch_records, geom.frames.quadric):
         assert np.array_equal(q, crater3d_mod.disk_quadric(rec))
+
+
+def test_scene_geometry_refuses_a_repeated_id(patch_records):
+    twin = dataclasses.replace(patch_records[3], id=patch_records[1].id)
+    with pytest.raises(CraterIdError, match=patch_records[1].id):
+        SceneGeometry.build([*patch_records, twin])
 
 
 def test_trial_pose_off_nadir_angle():

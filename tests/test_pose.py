@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from craterid.camera import Intrinsics, k_matrix, look_at_pose, projection_matrix, project_disk_quadric
-from craterid.crater3d import LUNAR_RADIUS_KM, CraterRecord, build_frame, crater_center, disk_quadric
+from craterid.crater3d import (
+    LUNAR_RADIUS_KM,
+    CraterRecord,
+    build_frame,
+    crater_center,
+    crater_frames,
+    disk_quadric,
+)
 from craterid.errors import RankDeficientGeometryError
 from craterid.pose import _scale_and_block, moon_conic, solve_position
 
@@ -39,8 +46,9 @@ def _scene(rng, altitude, n_craters=3, a_range=(5, 12), spread_deg=2.0):
 
 
 def _pairs(views, t_mc, intr):
-    """The (Moon-frame conic, frame) pairs that solve_position takes."""
-    return [(moon_conic(conic, t_mc, intr), build_frame(rec)) for conic, rec in views]
+    """The Moon-frame conics and the crater table that solve_position takes."""
+    conics = np.array([conic for conic, _ in views])
+    return moon_conic(conics, t_mc, intr), crater_frames([rec for _, rec in views])
 
 
 def _scale(image_conic, rec, t_mc, intr):
@@ -88,7 +96,7 @@ def test_zero_noise_position_recovery():
     rng = np.random.default_rng(3)
     for _ in range(50):
         pose, intr, views = _scene(rng, 150.0)
-        est = solve_position(_pairs(views, pose.t_mc, intr))
+        est = solve_position(*_pairs(views, pose.t_mc, intr))
         err_km = np.linalg.norm(est.r_m - pose.r_m)
         assert err_km <= 1e-6  # 1 mm
         assert not est.inside_moon
@@ -98,16 +106,16 @@ def test_two_crater_solution_matches_three():
     rng = np.random.default_rng(4)
     for _ in range(20):
         pose, intr, views = _scene(rng, 150.0)
-        pairs = _pairs(views, pose.t_mc, intr)
-        e3 = solve_position(pairs)
-        e2 = solve_position(pairs[:2])
+        conics, frames = _pairs(views, pose.t_mc, intr)
+        e3 = solve_position(conics, frames)
+        e2 = solve_position(conics[:2], frames[:2])
         assert np.allclose(e2.r_m, e3.r_m, atol=1e-6)
 
 
 def test_equivariance_under_global_rotation():
     rng = np.random.default_rng(5)
     pose, intr, views = _scene(rng, 150.0)
-    est = solve_position(_pairs(views, pose.t_mc, intr))
+    est = solve_position(*_pairs(views, pose.t_mc, intr))
     # Rotate the whole scene: craters and attitude.
     th = 0.7
     rot = np.array(
@@ -121,7 +129,7 @@ def test_equivariance_under_global_rotation():
         # East-referenced orientation is preserved by a rotation about the pole.
         rec2 = CraterRecord(rec.id, lat, lon, rec.a, rec.b, rec.psi)
         rotated.append((conic, rec2))
-    est2 = solve_position(_pairs(rotated, pose.t_mc @ rot.T, intr))
+    est2 = solve_position(*_pairs(rotated, pose.t_mc @ rot.T, intr))
     assert np.allclose(est2.r_m, rot @ est.r_m, atol=1e-6)
 
 
@@ -143,7 +151,7 @@ def test_noise_error_band_150km():
                 EllipseParams(e.a + da, e.b + db, e.xc + du, e.yc + dv, e.psi)
             )
             noisy.append((pert, rec))
-        est = solve_position(_pairs(noisy, pose.t_mc, intr))
+        est = solve_position(*_pairs(noisy, pose.t_mc, intr))
         errs.append(np.linalg.norm(est.r_m - pose.r_m) * 1000.0)
     med = float(np.median(errs))
     assert 30.0 <= med <= 500.0, med
@@ -152,11 +160,11 @@ def test_noise_error_band_150km():
 def test_rank_deficient_geometry():
     rng = np.random.default_rng(7)
     pose, intr, views = _scene(rng, 150.0, n_craters=1)
-    pairs = _pairs(views, pose.t_mc, intr)
+    conics, frames = _pairs(views, pose.t_mc, intr)
     with pytest.raises(RankDeficientGeometryError):
-        solve_position([pairs[0], pairs[0]])
+        solve_position(conics[[0, 0]], frames[[0, 0]])
     with pytest.raises(ValueError):
-        solve_position(pairs[:1])
+        solve_position(conics[:1], frames[:1])
 
 
 def test_inside_moon_flag():
@@ -164,5 +172,5 @@ def test_inside_moon_flag():
     pose, intr, views = _scene(rng, 150.0)
     # Feed mirrored image conics so the solve lands somewhere implausible;
     # the flag must reflect the norm test, whatever the estimate is.
-    est = solve_position(_pairs(views, pose.t_mc, intr))
+    est = solve_position(*_pairs(views, pose.t_mc, intr))
     assert est.inside_moon == (np.linalg.norm(est.r_m) <= LUNAR_RADIUS_KM + 1.0)

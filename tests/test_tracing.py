@@ -63,3 +63,38 @@ def test_traced_identify_matches_untraced(patch_index, patch_pose, apollo_camera
     assert np.array_equal(traced.r_m, plain.r_m)
     assert spans["pose.solve_position"]["calls"] > 0
     assert spans["metrics.gate_statistic"]["calls"] > 0
+
+
+def test_traced_index_round_gives_one_strict_metric_per_benchmark_name(
+    tmp_path, patch_records, global_catalog, global_scale
+):
+    # The traced index-build run must end in a result line that a strict
+    # JSON parser accepts: no NaN or Infinity and no "absent" metric, one
+    # metric for each per-layer name of BENCHMARK.json.
+    import json
+
+    from conftest import PATCH_SCALE
+    from craterid import index
+
+    tracer = Tracer()
+    layers.install(tracer, 13.277)
+    try:
+        since = tracer.mark()
+        for name, records, scale in (
+            ("patch", patch_records, PATCH_SCALE),
+            ("global", global_catalog[:60], global_scale),
+        ):
+            built = index.build_index(records, scale)
+            assert len(built) > 0
+            index.save_index(built, tmp_path / f"{name}.idx")
+            index.load_index(tmp_path / f"{name}.idx")
+        summary = tracer.summary(since)
+    finally:
+        tracer.restore()
+    out = layers.layer_metrics(summary, tracer.absent, tracer.installed, 0.0)
+    json.dumps(out, allow_nan=False)
+    assert [name for name, metric in out.items() if "absent" in metric] == []
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(out) == {m["name"] for m in declared}
+    for name in ("invariants.coplanar_triad.calls", "invariants.noncoplanar_triad.calls"):
+        assert out[name]["value"] > 0
