@@ -83,6 +83,19 @@ def _load_catalog(path: str) -> list:
     return records
 
 
+def _load_indexes(paths: list[str], catalog: list, catalog_path: str) -> list:
+    """The indexes, refused with ``CraterIdError`` unless each crater id of
+    theirs is a catalogue id (an index built from another catalogue)."""
+    known = {r.id for r in catalog}
+    indexes = [load_index(p) for p in paths]
+    for path, index in zip(paths, indexes):
+        missing = [cid for cid in index.names if cid not in known]
+        if missing:
+            n, first = len(missing), missing[0]
+            raise CraterIdError(f"{path}: {n} crater ids not in {catalog_path} (first: {first})")
+    return indexes
+
+
 def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
@@ -141,12 +154,13 @@ def _cmd_identify(args) -> int:
         gate = GateConfig(sigma_img=args.sigma_img, threshold=args.threshold)
     except ValueError as exc:
         raise CraterIdError(f"--sigma-img and --threshold: {exc}") from exc
+    catalog = _load_catalog(args.catalog)
     req = IdentifyRequest(
         detections=load_detections(args.detections),
         intrinsics=parse_camera_file(args.camera),
         attitude=_parse_attitude(args.attitude),
-        indexes=[load_index(p) for p in args.index],
-        catalog=_load_catalog(args.catalog),
+        indexes=_load_indexes(args.index, catalog, args.catalog),
+        catalog=catalog,
         gate=gate,
         n_candidates=args.n_candidates,
         max_triads=args.max_triads,
@@ -191,7 +205,7 @@ def _cmd_montecarlo(args) -> int:
     settings = read_key_values(args.config, _MC_KEYS, _MC_REQUIRED)
     catalog = _load_catalog(args.catalog)
     intr = parse_camera_file(args.camera)
-    indexes = [load_index(p) for p in args.index]
+    indexes = _load_indexes(args.index, catalog, args.catalog)
     cfg = MonteCarloConfig(catalog=catalog, indexes=indexes, intrinsics=intr, **settings)
     cells = monte_carlo(cfg)
     print(format_cells(cells))

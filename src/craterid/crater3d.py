@@ -54,7 +54,7 @@ class CraterRecord:
 
     def __post_init__(self):
         # The catalogue CSV strips cells and skips '#' rows; the index id
-        # table is tab and newline separated.
+        # table is newline separated.
         if self.id != self.id.strip() or self.id[:1] == "#" or set(self.id) & set("\t\r\n"):
             raise ValueError(f"{self.id!r}: id has tab, CR, LF, a leading '#' or padding")
         if not all(map(math.isfinite, (self.lat, self.lon, self.a, self.b, self.psi))):

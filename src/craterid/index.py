@@ -5,6 +5,13 @@ from each pixel's 3x3 neighborhood, emitted exactly once (by the pixel that
 contains the triad's mean direction), ordered clockwise as a nadir camera
 would see them, and described by scale-appropriate projective invariants.
 Descriptors live in an exact nearest-neighbor structure (k-d tree).
+
+The index is columns: a sorted crater-id table ``names``, each triad's rows
+into it ``triads`` (T, 3), its descriptor ``values`` (T, d) and its home
+pixel ``home`` (T,).  Format 3, little-endian: ``CRIDX\\0``; version and
+config length (u32); the scale config (JSON) and its SHA-256; radius (f64),
+T (u64), d (u32), name count (u64) and names length (u64); the names,
+newline-joined UTF-8; ``triads`` i32, ``home`` i64, ``values`` f64.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import io
 import json
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from pathlib import Path
 from typing import Iterator
@@ -100,33 +107,18 @@ class IndexScale:
             raise ValueError(f"unknown convention {self.convention!r}")
 
     def to_json(self) -> str:
-        d = {
-            "name": self.name,
-            "k": int(self.k),
-            "d_min": float(self.d_min),
-            "d_max": None if np.isinf(self.d_max) else float(self.d_max),
-            "max_ellipticity": None
-            if np.isinf(self.max_ellipticity)
-            else float(self.max_ellipticity),
-            "min_arc_fraction": float(self.min_arc_fraction),
-            "descriptor_kind": self.descriptor_kind,
-            "convention": self.convention,
-        }
+        d = asdict(self) | {"k": int(self.k), "d_min": float(self.d_min)}
+        d["min_arc_fraction"] = float(self.min_arc_fraction)
+        for key in ("d_max", "max_ellipticity"):  # JSON has no infinity
+            d[key] = None if np.isinf(d[key]) else float(d[key])
         return json.dumps(d, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "IndexScale":
         d = json.loads(text)
-        return cls(
-            name=d["name"],
-            k=d["k"],
-            d_min=d["d_min"],
-            d_max=np.inf if d["d_max"] is None else d["d_max"],
-            max_ellipticity=np.inf if d["max_ellipticity"] is None else d["max_ellipticity"],
-            min_arc_fraction=d["min_arc_fraction"],
-            descriptor_kind=d["descriptor_kind"],
-            convention=d["convention"],
-        )
+        for key in ("d_max", "max_ellipticity"):
+            d[key] = np.inf if d[key] is None else d[key]
+        return cls(**d)
 
 
 LOCAL_SCALE = IndexScale("local", 5, 4.0, 30.0, np.inf, 0.9, "coplanar7", "ordered")
@@ -136,7 +128,7 @@ GLOBAL_SCALE = IndexScale("global", 1, 100.0, np.inf, 1.1, 0.9, "noncoplanar3", 
 
 @dataclass(frozen=True)
 class TriadEntry:
-    """One indexed crater triad."""
+    """One indexed crater triad, a row of ``DescriptorIndex`` built on demand."""
 
     ids: tuple[str, str, str]  # clockwise
     values: np.ndarray
@@ -378,9 +370,7 @@ def _tangent_plane_conics(frames: CraterFrame, mean_dir: np.ndarray, radius: flo
 _CANONICAL_VIEW_ALTITUDE_FACTOR = 3.0
 
 
-def _canonical_view_conics(
-    quads: list[np.ndarray], mean_dir: np.ndarray, radius: float
-) -> np.ndarray:
+def _canonical_view_conics(quads: np.ndarray, mean_dir: np.ndarray, radius: float) -> np.ndarray:
     """Project three disk quadrics with a canonical synthetic camera.
 
     Any projective view yields the same non-coplanar invariants; a fixed
@@ -391,7 +381,7 @@ def _canonical_view_conics(
     pose = look_at_pose(r_cam, np.zeros(3), up_hint=e)
     intr = Intrinsics(dx=1000.0, dy=1000.0)
     p = projection_matrix(intr, pose)
-    conics = project_disk_quadric(p, np.array(quads))
+    conics = project_disk_quadric(p, quads)
     if np.isnan(conics).any():
         raise NotAnEllipseError("a rim is no ellipse in the canonical view")
     return conics
@@ -399,49 +389,58 @@ def _canonical_view_conics(
 
 @dataclass
 class DescriptorIndex:
-    """Immutable searchable index over triad descriptors."""
+    """Searchable index over triad descriptors, held as columns.
+
+    Triad ``t`` is the craters ``names[triads[t]]`` in stored label order,
+    its descriptor ``values[t]`` and the pixel ``home[t]`` that emitted it.
+    ``names`` is sorted, so the codes in ``triads`` order like the ids.  The
+    k-d tree is built on ``values``.
+    """
 
     scale: IndexScale
-    entries: list[TriadEntry]
+    names: list[str]  # sorted crater ids
+    triads: np.ndarray  # (T, 3) int32 rows into names
+    values: np.ndarray  # (T, d) float64
+    home: np.ndarray  # (T,) int64
     radius: float = LUNAR_RADIUS_KM
     skipped: int = 0
-    _matrix: np.ndarray = field(init=False, repr=False)
     _tree: cKDTree | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         dim = 7 if self.scale.descriptor_kind == "coplanar7" else 3
-        if self.entries:
-            self._matrix = np.vstack([e.values for e in self.entries])
-        else:
-            self._matrix = np.zeros((0, dim))
-        if self._matrix.shape[1] != dim:
-            raise DimensionMismatchError("entry dimension does not match scale")
-        if len(self.entries):
-            self._tree = cKDTree(self._matrix)
+        if self.values.ndim != 2 or self.values.shape[1] != dim:
+            raise DimensionMismatchError("descriptor dimension does not match scale")
+        if len(self.values):
+            self._tree = cKDTree(self.values)
 
     @property
     def dim(self) -> int:
-        return self._matrix.shape[1]
+        return self.values.shape[1]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.values)
 
-    def query(
-        self, descriptor: np.ndarray, n: int = 1
-    ) -> list[tuple[float, TriadEntry]]:
-        """Exact ``n`` nearest entries by Euclidean descriptor distance."""
+    def _entries(self, rows) -> list[TriadEntry]:
+        """The triads at ``rows`` (row numbers or a slice) as built rows."""
+        n = self.names
+        ids = [(n[a], n[b], n[c]) for a, b, c in self.triads[rows].tolist()]
+        return list(map(TriadEntry, ids, self.values[rows], self.home[rows].tolist()))
+
+    @property
+    def entries(self) -> list[TriadEntry]:
+        """Every triad as a ``TriadEntry``, built anew on each access.  Only the
+        benchmark's oracles read it; once they read the columns, it can go."""
+        return self._entries(slice(None))
+
+    def query(self, descriptor: np.ndarray, n: int = 1) -> list[tuple[float, TriadEntry]]:
+        """Exact ``n`` nearest triads by Euclidean descriptor distance."""
         q = np.asarray(descriptor, dtype=float).reshape(-1)
         if q.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"descriptor has dim {q.shape[0]}, index needs {self.dim}"
-            )
-        if not self.entries:
+            raise DimensionMismatchError(f"descriptor has dim {q.shape[0]}, index needs {self.dim}")
+        if not len(self):
             return []
-        n = min(n, len(self.entries))
-        dist, idx = self._tree.query(q, k=n)
-        dist = np.atleast_1d(dist)
-        idx = np.atleast_1d(idx)
-        return [(float(d), self.entries[int(i)]) for d, i in zip(dist, idx)]
+        dist, idx = self._tree.query(q, k=min(n, len(self)))
+        return list(zip(np.atleast_1d(dist).tolist(), self._entries(np.atleast_1d(idx))))
 
 
 def build_index(
@@ -452,63 +451,72 @@ def build_index(
     """Filter the catalog, enumerate triads, and compute their descriptors.
 
     Triads whose invariants cannot be computed (overlapping projections,
-    acosh domain failures) are skipped with a diagnostic count.
+    acosh domain failures) are skipped with a diagnostic count.  The index
+    holds the ids of the triads' craters only, and orders the triads by
+    home pixel, then by crater ids, whatever the order of ``records``.
     """
     usable = filter_catalog(records, scale)
-    triads = enumerate_triads(usable, scale, radius)
+    found = enumerate_triads(usable, scale, radius)
+    rows = np.array([tri for tri, _ in found], dtype=np.intp).reshape(-1, 3)
     units = [crater_center(r.lat, r.lon, 1.0) for r in usable]
     coplanar = scale.descriptor_kind == "coplanar7"
     if coplanar:
         frames = crater_frames(usable, radius)
     else:
-        quads = [disk_quadric(r, radius) for r in usable]
-    entries: list[TriadEntry] = []
-    skipped = 0
-    for tri, home in triads:
-        recs = [usable[t] for t in tri]
-        mean = units[tri[0]] + units[tri[1]] + units[tri[2]]
+        quads = np.array([disk_quadric(r, radius) for r in usable])
+    kept, values, home = [], [], []
+    for tri, ((i, j, k), pixel) in zip(rows, found):
+        mean = units[i] + units[j] + units[k]
         mean = mean / np.linalg.norm(mean)
         try:
             if coplanar:
-                cs = _tangent_plane_conics(frames[list(tri)], mean, radius)
-                inv = coplanar_triad(*cs)
+                inv = coplanar_triad(*_tangent_plane_conics(frames[tri], mean, radius))
             else:
-                cs = _canonical_view_conics([quads[t] for t in tri], mean, radius)
-                inv = noncoplanar_triad(*cs)
+                inv = noncoplanar_triad(*_canonical_view_conics(quads[tri], mean, radius))
         except CraterIdError as exc:
-            skipped += 1
-            log.debug("triad %s skipped: %s", [r.id for r in recs], exc)
+            log.debug("triad %s skipped: %s", [usable[m].id for m in (i, j, k)], exc)
             continue
-        desc = make_descriptor(inv, scale.convention, tuple(r.id for r in recs))
-        entries.append(TriadEntry(ids=desc.ids, values=desc.values, home_pixel=home))
-    entries.sort(key=lambda e: (e.home_pixel, e.ids))
-    return DescriptorIndex(scale=scale, entries=entries, radius=radius, skipped=skipped)
+        vals, r = make_descriptor(inv, scale.convention)
+        kept.append(np.roll(tri, -r))
+        values.append(vals)
+        home.append(pixel)
+    # An object array sorts by Python string order.
+    ids = np.array([r.id for r in usable], dtype=object)[np.array(kept, dtype=np.intp)]
+    names, triads = np.unique(ids, return_inverse=True)
+    triads = triads.reshape(-1, 3).astype(np.int32)
+    home = np.array(home, dtype=np.int64)
+    order = np.lexsort((triads[:, 2], triads[:, 1], triads[:, 0], home))
+    return DescriptorIndex(
+        scale=scale,
+        names=names.tolist(),
+        triads=triads[order],
+        values=np.array(values, dtype=float).reshape(-1, 7 if coplanar else 3)[order],
+        home=home[order],
+        radius=radius,
+        skipped=len(found) - len(kept),
+    )
 
 
 _MAGIC = b"CRIDX\x00"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
+# radius, triad count, descriptor dimension, name count, name blob length
+_HEADER = struct.Struct("<dQIQQ")
 
 
 def save_index(index: DescriptorIndex, path: str | Path) -> None:
     """Serialize to the versioned binary container (bit-exact round trip)."""
     cfg = index.scale.to_json().encode("utf-8")
-    cfg_hash = hashlib.sha256(cfg).digest()
-    ids_blob = "\n".join("\t".join(e.ids) for e in index.entries).encode("utf-8")
-    pixels = np.array([e.home_pixel for e in index.entries], dtype="<i8").tobytes()
-    values = np.ascontiguousarray(index._matrix, dtype="<f8").tobytes()
+    names = "\n".join(index.names).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(cfg)))
+        fh.write(struct.pack("<II", _FORMAT_VERSION, len(cfg)))
         fh.write(cfg)
-        fh.write(cfg_hash)
-        fh.write(struct.pack("<d", index.radius))
-        fh.write(struct.pack("<Q", len(index.entries)))
-        fh.write(struct.pack("<I", index.dim))
-        fh.write(struct.pack("<Q", len(ids_blob)))
-        fh.write(ids_blob)
-        fh.write(pixels)
-        fh.write(values)
+        fh.write(hashlib.sha256(cfg).digest())
+        fh.write(_HEADER.pack(index.radius, len(index), index.dim, len(index.names), len(names)))
+        fh.write(names)
+        fh.write(index.triads.astype("<i4").tobytes())
+        fh.write(index.home.astype("<i8").tobytes())
+        fh.write(np.ascontiguousarray(index.values, dtype="<f8").tobytes())
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -521,39 +529,33 @@ def _read_exact(fh, n: int) -> bytes:
 def load_index(path: str | Path) -> DescriptorIndex:
     """Load an index saved by :func:`save_index`.
 
-    Raises ``VersionMismatchError`` on bad magic, version, config hash, or
-    truncation.
+    Raises ``VersionMismatchError`` on bad magic, version, config hash,
+    truncation, trailing bytes, a crater id table that disagrees with its
+    count, or a triad code outside that table.
     """
     with open(path, "rb") as fh:
         if _read_exact(fh, len(_MAGIC)) != _MAGIC:
             raise VersionMismatchError("not a crater index file")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        version, cfg_len = struct.unpack("<II", _read_exact(fh, 8))
         if version != _FORMAT_VERSION:
             raise VersionMismatchError(f"unsupported index version {version}")
-        (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4))
         cfg = _read_exact(fh, cfg_len)
-        stored_hash = _read_exact(fh, 32)
-        if hashlib.sha256(cfg).digest() != stored_hash:
+        if hashlib.sha256(cfg).digest() != _read_exact(fh, 32):
             raise VersionMismatchError("scale config hash mismatch")
         scale = IndexScale.from_json(cfg.decode("utf-8"))
-        (radius,) = struct.unpack("<d", _read_exact(fh, 8))
-        (count,) = struct.unpack("<Q", _read_exact(fh, 8))
-        (dim,) = struct.unpack("<I", _read_exact(fh, 4))
-        (ids_len,) = struct.unpack("<Q", _read_exact(fh, 8))
-        ids_blob = _read_exact(fh, ids_len).decode("utf-8")
-        pixels = np.frombuffer(_read_exact(fh, 8 * count), dtype="<i8")
-        values = np.frombuffer(_read_exact(fh, 8 * count * dim), dtype="<f8").reshape(
-            count, dim
-        )
+        radius, count, dim, n_names, names_len = _HEADER.unpack(_read_exact(fh, _HEADER.size))
+        names_blob = _read_exact(fh, names_len)
+        triads = np.frombuffer(_read_exact(fh, 12 * count), dtype="<i4").reshape(count, 3)
+        home = np.frombuffer(_read_exact(fh, 8 * count), dtype="<i8")
+        values = np.frombuffer(_read_exact(fh, 8 * count * dim), dtype="<f8").reshape(count, dim)
         if fh.read(1):
             raise VersionMismatchError("trailing bytes in index file")
-    id_rows = ids_blob.split("\n") if ids_blob else []
-    if len(id_rows) != count:
-        raise VersionMismatchError("id table length mismatch")
-    entries = []
-    for row, hp, vals in zip(id_rows, pixels, values):
-        parts = tuple(row.split("\t"))
-        if len(parts) != 3:
-            raise VersionMismatchError("malformed id row")
-        entries.append(TriadEntry(ids=parts, values=vals, home_pixel=int(hp)))
-    return DescriptorIndex(scale=scale, entries=entries, radius=radius)
+    try:
+        names = names_blob.decode("utf-8").split("\n") if n_names or names_blob else []
+    except UnicodeDecodeError as exc:
+        raise VersionMismatchError("crater id table is not UTF-8") from exc
+    if len(names) != n_names:
+        raise VersionMismatchError("crater id table length mismatch")
+    if count and not (triads.min() >= 0 and triads.max() < n_names):
+        raise VersionMismatchError("triad crater code outside the id table")
+    return DescriptorIndex(scale, names, triads, values, home, radius)

@@ -17,8 +17,6 @@ are additionally invariant to cyclic relabeling of the three craters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .conic2d import (
@@ -37,7 +35,6 @@ from .errors import (
 )
 
 __all__ = [
-    "TriadDescriptor",
     "coplanar_triad",
     "noncoplanar_triad",
     "cayley_klein_distance",
@@ -191,19 +188,6 @@ def pair_G(
     return g1, g2, g1 / root, g2 / root
 
 
-@dataclass(frozen=True)
-class TriadDescriptor:
-    """Searchable descriptor of one crater triad.
-
-    ``ids`` are the three crater labels in clockwise image order, already
-    rotated to match ``values`` for the sorted convention.
-    """
-
-    values: np.ndarray
-    convention: str  # ordered | sorted | p2
-    ids: tuple[str, str, str]
-
-
 def rotate_descriptor_values(values: np.ndarray, r: int) -> np.ndarray:
     """Descriptor vector after cyclically relabeling the craters ``r`` steps."""
     values = np.asarray(values, dtype=float)
@@ -214,16 +198,16 @@ def rotate_descriptor_values(values: np.ndarray, r: int) -> np.ndarray:
     raise ValueError("descriptor must have 3 or 7 elements")
 
 
-def make_descriptor(
-    values: np.ndarray, convention: str, ids: tuple[str, str, str]
-) -> TriadDescriptor:
-    """Stored descriptor of a catalogue triad with invariants ``values``.
+def make_descriptor(values: np.ndarray, convention: str) -> tuple[np.ndarray, int]:
+    """Stored descriptor of a catalogue triad with invariants ``values``, and
+    the label rotation ``r``: the stored crater labels are the clockwise
+    labels rotated ``r`` steps, ``ids[r:] + ids[:r]``.
 
     ``values`` is a :func:`noncoplanar_triad` 3-vector or a
     :func:`coplanar_triad` 7-vector.  ordered keeps it as is; sorted rotates
     the crater labels so the smallest of the first three invariants leads;
     p2 maps it to its cyclic-invariant form, ``F(J)`` for three elements and
-    ``[F(t1), F1(t2), Gt(t1, t2), I_ijk]`` for seven.
+    ``[F(t1), F1(t2), Gt(t1, t2), I_ijk]`` for seven.  Only sorted rotates.
     """
     vec = np.array(values, dtype=float)
     if vec.shape not in ((3,), (7,)):
@@ -231,16 +215,15 @@ def make_descriptor(
     if not np.all(np.isfinite(vec)):
         raise ValueError("invariants must be finite")
     if convention == "ordered":
-        return TriadDescriptor(vec, convention, ids)
+        return vec, 0
     if convention == "sorted":
         r = int(np.argmin(vec[:3]))
-        return TriadDescriptor(rotate_descriptor_values(vec, r), convention, ids[r:] + ids[:r])
+        return rotate_descriptor_values(vec, r), r
     if convention == "p2":
         if len(vec) == 3:
-            return TriadDescriptor(np.array(cyclic_F(*vec)), convention, ids)
+            return np.array(cyclic_F(*vec)), 0
         _, _, gt1, gt2 = pair_G(*vec[:6])
-        p2 = [*cyclic_F(*vec[:3]), cyclic_F(*vec[3:6])[0], gt1, gt2, vec[6]]
-        return TriadDescriptor(np.array(p2), convention, ids)
+        return np.array([*cyclic_F(*vec[:3]), cyclic_F(*vec[3:6])[0], gt1, gt2, vec[6]]), 0
     raise ValueError(f"unknown convention {convention!r}")
 
 
@@ -259,7 +242,7 @@ def query_rotations(
     """
     vec = np.asarray(values, dtype=float)
     if convention == "p2":
-        return [(None, make_descriptor(vec, convention, ("", "", "")).values)]
+        return [(None, make_descriptor(vec, convention)[0])]
     if convention == "ordered":
         first = 0
     elif convention == "sorted":

@@ -213,30 +213,28 @@ def _verify_triad(
     threshold.  ``req.verify`` off accepts the first solution outside the
     Moon.
     """
-    # Of each hypothesis solved outside the Moon: its pairs, detection
-    # indices, table rows and position.
-    kept, det_idx, crater_rows, r_m = [], [], [], []
-    for pairs in hypotheses:
-        rows = [geometry.row.get(cid) for _, cid in pairs]
-        if None in rows:
-            continue
-        ks = [k for k, _ in pairs]
+    # Each hypothesis's detection indices and table rows (-1: not in the
+    # catalog), as (H, 3) arrays; then the hypotheses solved outside the Moon.
+    det_idx = np.array([[k for k, _ in pairs] for pairs in hypotheses], dtype=np.intp)
+    rows = np.array(
+        [[geometry.row.get(cid, -1) for _, cid in pairs] for pairs in hypotheses], dtype=np.intp
+    ).reshape(-1, 3)
+    kept, r_m = [], []
+    for h in np.flatnonzero((rows >= 0).all(axis=1)).tolist():
         try:
-            est = solve_position(moon_conics[ks], geometry.frames[rows], radius)
+            est = solve_position(moon_conics[det_idx[h]], geometry.frames[rows[h]], radius)
         except CraterIdError:
             continue
         if est.inside_moon:
             continue
         if not req.verify:
-            return MatchResult(status="matched", correspondences=dict(pairs), r_m=est.r_m)
-        kept.append(pairs)
-        det_idx.append(ks)
-        crater_rows.append(rows)
+            return MatchResult(status="matched", correspondences=dict(hypotheses[h]), r_m=est.r_m)
+        kept.append(h)
         r_m.append(est.r_m)
     if not kept:
         return None
-    det_idx, r_m = np.array(det_idx), np.array(r_m)
-    quads = geometry.frames.quadric[crater_rows]
+    det_idx, r_m = det_idx[kept], np.array(r_m)
+    quads = geometry.frames.quadric[rows[kept]]
     # P = K T [I | -r] per hypothesis.
     p = np.concatenate(
         [np.broadcast_to(kt, (len(kept), 3, 3)), -(r_m @ kt.T)[:, :, None]], axis=2
@@ -250,7 +248,7 @@ def _verify_triad(
     if not passed.size:
         return None
     h = passed[0]
-    pairs = kept[h]
+    pairs = hypotheses[kept[h]]
     per_crater = [
         {"crater_id": cid, "d_ga": float(dk), "stat": float(sk)}
         for (_, cid), dk, sk in zip(pairs, d[h], stat[h])

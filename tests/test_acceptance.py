@@ -26,7 +26,7 @@ from craterid.crater3d import (
     disk_quadric,
 )
 from craterid.errors import CraterIdError
-from craterid.index import DescriptorIndex, IndexScale, TriadEntry, build_index, enumerate_triads, load_index, save_index
+from craterid.index import DescriptorIndex, IndexScale, build_index, enumerate_triads, load_index, save_index
 from craterid.invariants import coplanar_triad, make_descriptor, noncoplanar_triad
 from craterid.metrics import GateConfig, gate_statistic, gaussian_angle, jaccard_distance
 from craterid.pipeline import (
@@ -391,7 +391,7 @@ def test_criterion_7_matching_rates(local_catalog, local_index, apollo_camera):
 
 def test_criterion_8_index_contracts(local_index, tmp_path):
     rng = np.random.default_rng(108)
-    mat = np.vstack([e.values for e in local_index.entries])
+    mat = local_index.values
     n_q = 10_000
     picks = rng.integers(len(mat), size=n_q)
     queries = mat[picks] + rng.normal(0, 0.02, (n_q, mat.shape[1]))
@@ -409,9 +409,10 @@ def test_criterion_8_index_contracts(local_index, tmp_path):
     path = tmp_path / "acc.idx"
     save_index(local_index, path)
     loaded = load_index(path)
-    rt_ok = len(loaded) == len(local_index) and all(
-        np.array_equal(a.values, b.values) and a.ids == b.ids
-        for a, b in zip(loaded.entries, local_index.entries)
+    rt_ok = (
+        loaded.names == local_index.names
+        and np.array_equal(loaded.triads, local_index.triads)
+        and loaded.values.tobytes() == local_index.values.tobytes()
     )
 
     from craterid.pipeline import synthetic_catalog
@@ -461,11 +462,18 @@ def test_criterion_9_convention_tradeoff(local_catalog, local_index, local_scale
         local_scale.max_ellipticity, local_scale.min_arc_fraction,
         local_scale.descriptor_kind, "sorted",
     )
-    sorted_entries = []
-    for e in local_index.entries:
-        d = make_descriptor(e.values, "sorted", e.ids)
-        sorted_entries.append(TriadEntry(ids=d.ids, values=d.values, home_pixel=e.home_pixel))
-    sorted_index = DescriptorIndex(scale=sorted_scale, entries=sorted_entries)
+    sorted_values, sorted_triads = [], []
+    for values, triad in zip(local_index.values, local_index.triads):
+        v, r = make_descriptor(values, "sorted")
+        sorted_values.append(v)
+        sorted_triads.append(np.roll(triad, -r))
+    sorted_index = DescriptorIndex(
+        scale=sorted_scale,
+        names=local_index.names,
+        triads=np.array(sorted_triads),
+        values=np.array(sorted_values),
+        home=local_index.home,
+    )
 
     geometry = SceneGeometry.build(local_catalog)
     outcomes = {"ordered": 0, "sorted": 0}

@@ -144,6 +144,37 @@ def test_identify_warns_once_on_a_repeated_catalog_id(
     assert json.loads(captured.out.strip().splitlines()[-1])["status"] == "matched"
 
 
+@pytest.mark.parametrize("command", ["identify", "montecarlo"])
+def test_index_from_another_catalog_is_refused(
+    tmp_path, camera_file, catalog_file, index_file, command, capsys
+):
+    # A catalogue that lacks some of the index's craters would only ever
+    # give no-match; the command names the index, the count and one id.
+    names = load_index(index_file).names
+    lines = catalog_file.read_text().splitlines(keepends=True)
+    dropped = [line for line in lines[1:] if line.split(",")[0] in names[:2]]
+    assert len(dropped) == 2
+    short = tmp_path / "short.csv"
+    short.write_text("".join(line for line in lines if line not in dropped))
+    dets_file = tmp_path / "dets.csv"
+    dets_file.write_text("u_c,v_c,a_px,b_px,psi_rad\n200,200,40,30,0.1\n900,300,52,41,0.9\n")
+    cfg = tmp_path / "mc.txt"
+    cfg.write_text("trials 1\naltitude_km 150\nnoise_px 0.5\n")
+    args = {
+        "identify": ["--detections", str(dets_file), "--attitude", "0,0,0,1"],
+        "montecarlo": ["--config", str(cfg)],
+    }[command]
+    rc = main(
+        [command, "--camera", str(camera_file), "--index", str(index_file),
+         "--catalog", str(short), *args]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    (line,) = _error_lines(err)
+    assert line == f"error: {index_file}: 2 crater ids not in {short} (first: {names[0]})"
+
+
 def test_identify_no_match_exit_code(tmp_path, camera_file, catalog_file, index_file, capsys):
     # Detections that correspond to nothing: far-apart synthetic blobs.
     dets_file = tmp_path / "noise.csv"

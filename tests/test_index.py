@@ -1,4 +1,6 @@
+import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -366,14 +368,14 @@ def test_save_load_round_trip(tmp_path, patch_index):
     loaded = load_index(path)
     assert len(loaded) == len(patch_index)
     assert loaded.scale == patch_index.scale
-    for a, b in zip(loaded.entries, patch_index.entries):
-        assert a.ids == b.ids
-        assert a.home_pixel == b.home_pixel
-        assert np.array_equal(a.values, b.values)  # bit exact
+    assert loaded.names == patch_index.names
+    assert np.array_equal(loaded.triads, patch_index.triads)
+    assert np.array_equal(loaded.home, patch_index.home)
+    assert loaded.values.tobytes() == patch_index.values.tobytes()  # bit exact
     # query parity
     rng = np.random.default_rng(1)
     for _ in range(100):
-        q = patch_index.entries[rng.integers(len(patch_index))].values + rng.normal(
+        q = patch_index.values[rng.integers(len(patch_index))] + rng.normal(
             0, 0.1, patch_index.dim
         )
         h1 = patch_index.query(q, 3)
@@ -407,6 +409,59 @@ def test_load_rejects_corruption(tmp_path, patch_index):
     bad.write_bytes(bytes(c))
     with pytest.raises(VersionMismatchError):
         load_index(bad)
+    # Offsets of the fixed header after the config and of the blocks.
+    (cfg_len,) = struct.unpack_from("<I", blob, 10)
+    head = 14 + cfg_len + 32
+    _, count, _, n_names, names_len = struct.unpack_from("<dQIQQ", blob, head)
+    triads_at = head + 36 + names_len
+    assert n_names == len(patch_index.names) and count == len(patch_index)
+    # a triad code at or past the name count, or negative
+    for code in (n_names, -1):
+        t = bytearray(blob)
+        struct.pack_into("<i", t, triads_at + 4 * 3 * (count // 2) + 4, code)
+        bad.write_bytes(bytes(t))
+        with pytest.raises(VersionMismatchError, match="outside the id table"):
+            load_index(bad)
+    # a name count that disagrees with the newline-separated names
+    for wrong in (n_names - 1, n_names + 1):
+        n = bytearray(blob)
+        struct.pack_into("<Q", n, head + 20, wrong)
+        bad.write_bytes(bytes(n))
+        with pytest.raises(VersionMismatchError, match="id table length"):
+            load_index(bad)
+    # names that are not UTF-8
+    u = bytearray(blob)
+    u[head + 36] = 0xFF
+    bad.write_bytes(bytes(u))
+    with pytest.raises(VersionMismatchError, match="not UTF-8"):
+        load_index(bad)
+    # a file cut inside the triads block
+    bad.write_bytes(bytes(blob[: triads_at + 6 * count]))
+    with pytest.raises(VersionMismatchError, match="truncated"):
+        load_index(bad)
+
+
+def test_empty_crater_id_round_trips(tmp_path):
+    # CraterRecord allows the id ""; it is the first name of the table.
+    cat = patch_catalog(n=10, seed=9)
+    cat[0] = replace(cat[0], id="")
+    built = build_index(cat, PATCH_SCALE)
+    assert built.names[0] == "" and np.any(built.triads == 0)
+    save_index(built, tmp_path / "e.idx")
+    loaded = load_index(tmp_path / "e.idx")
+    assert loaded.names == built.names
+    assert np.array_equal(loaded.triads, built.triads)
+    row = int(np.flatnonzero((built.triads == 0).any(axis=1))[0])
+    ((dist, entry),) = loaded.query(built.values[row], 1)
+    assert dist == 0.0 and "" in entry.ids
+
+
+def test_build_ignores_record_order(tmp_path, patch_records):
+    shuffled = [patch_records[i] for i in np.random.default_rng(3).permutation(len(patch_records))]
+    assert shuffled != patch_records
+    save_index(build_index(patch_records, PATCH_SCALE), tmp_path / "a.idx")
+    save_index(build_index(shuffled, PATCH_SCALE), tmp_path / "b.idx")
+    assert (tmp_path / "a.idx").read_bytes() == (tmp_path / "b.idx").read_bytes()
 
 
 def test_canonical_view_independence(monkeypatch, patch_records):

@@ -306,40 +306,44 @@ def test_pair_G_scaling():
 # -- descriptors ---------------------------------------------------------------
 
 
+def _rotated(ids, r):
+    """Crater labels after the label rotation that ``make_descriptor`` returns."""
+    return ids[r:] + ids[:r]
+
+
 def test_descriptor_ordered_and_rotations():
     vec = (1.5, 0.7, 2.2)
-    d = make_descriptor(vec, "ordered", ("a", "b", "c"))
-    assert np.allclose(d.values, vec)
-    r1 = rotate_descriptor_values(d.values, 1)
+    values, r = make_descriptor(vec, "ordered")
+    assert np.allclose(values, vec) and r == 0
+    r1 = rotate_descriptor_values(values, 1)
     assert np.allclose(r1, [0.7, 2.2, 1.5])
 
 
 def test_descriptor_sorted_three():
-    d = make_descriptor((5.0, 1.0, 3.0), "sorted", ("a", "b", "c"))
-    assert np.allclose(d.values, [1.0, 3.0, 5.0])
-    assert d.ids == ("b", "c", "a")
+    values, r = make_descriptor((5.0, 1.0, 3.0), "sorted")
+    assert np.allclose(values, [1.0, 3.0, 5.0])
+    assert _rotated(("a", "b", "c"), r) == ("b", "c", "a")
 
 
 def test_descriptor_sorted_seven():
     inv = np.array([4.0, 3.0, 5.0, 6.0, 7.0, 8.0, 9.0])
-    d = make_descriptor(inv, "sorted", ("a", "b", "c"))
+    values, r = make_descriptor(inv, "sorted")
     # min of (4, 3, 5) is at position 1 -> rotate labels by one step
-    assert np.allclose(d.values, [3.0, 5.0, 4.0, 7.0, 8.0, 6.0, 9.0])
-    assert d.ids == ("b", "c", "a")
+    assert np.allclose(values, [3.0, 5.0, 4.0, 7.0, 8.0, 6.0, 9.0])
+    assert _rotated(("a", "b", "c"), r) == ("b", "c", "a")
 
 
 def test_descriptor_p2_cyclic_bit_identity():
     rng = np.random.default_rng(7)
     for _ in range(200):
         j = tuple(rng.uniform(0.2, 3.0, 3))
-        ids = ("x", "y", "z")
-        d0 = make_descriptor(j, "p2", ids)
-        d1 = make_descriptor((j[1], j[2], j[0]), "p2", ("y", "z", "x"))
-        assert np.array_equal(d0.values, d1.values)
+        d0, r0 = make_descriptor(j, "p2")
+        d1, r1 = make_descriptor((j[1], j[2], j[0]), "p2")
+        assert np.array_equal(d0, d1) and r0 == r1 == 0
     inv = rng.uniform(2, 9, 7)
-    d0 = make_descriptor(inv, "p2", ("x", "y", "z"))
-    d1 = make_descriptor(rotate_descriptor_values(inv, 1), "p2", ("y", "z", "x"))
-    assert np.allclose(d0.values, d1.values, atol=1e-12)
+    d0, _ = make_descriptor(inv, "p2")
+    d1, _ = make_descriptor(rotate_descriptor_values(inv, 1), "p2")
+    assert np.allclose(d0, d1, atol=1e-12)
 
 
 def test_descriptor_p2_detects_odd_permutation():
@@ -347,27 +351,27 @@ def test_descriptor_p2_detects_odd_permutation():
     hits = 0
     for _ in range(100):
         j = rng.uniform(0.2, 3.0, 3)
-        d_even = make_descriptor(tuple(j), "p2", ("x", "y", "z"))
-        d_odd = make_descriptor((j[0], j[2], j[1]), "p2", ("x", "z", "y"))
-        if not np.allclose(d_even.values, d_odd.values, atol=1e-12):
+        d_even, _ = make_descriptor(tuple(j), "p2")
+        d_odd, _ = make_descriptor((j[0], j[2], j[1]), "p2")
+        if not np.allclose(d_even, d_odd, atol=1e-12):
             hits += 1
     assert hits == 100  # F3 != 0 almost surely for random triples
 
 
 def test_descriptor_seven_p2_layout():
     inv = np.array([4.0, 3.0, 5.0, 6.0, 7.0, 8.0, 9.0])
-    d = make_descriptor(inv, "p2", ("a", "b", "c"))
-    assert d.values.shape == (7,)
-    assert d.values[0] == pytest.approx(12.0)  # F1 of first triple
-    assert d.values[3] == pytest.approx(21.0)  # F1 of second triple
-    assert d.values[6] == pytest.approx(9.0)  # triple invariant
+    values, _ = make_descriptor(inv, "p2")
+    assert values.shape == (7,)
+    assert values[0] == pytest.approx(12.0)  # F1 of first triple
+    assert values[3] == pytest.approx(21.0)  # F1 of second triple
+    assert values[6] == pytest.approx(9.0)  # triple invariant
 
 
 def test_ordered_cyclic_relabels_are_rotations():
     rng = np.random.default_rng(9)
     ci, cj, ck = (_norm_conic(random_ellipse(rng)) for _ in range(3))
-    base = make_descriptor(coplanar_triad(ci, cj, ck), "ordered", ("a", "b", "c")).values
-    cyc = make_descriptor(coplanar_triad(cj, ck, ci), "ordered", ("b", "c", "a")).values
+    base, _ = make_descriptor(coplanar_triad(ci, cj, ck), "ordered")
+    cyc, _ = make_descriptor(coplanar_triad(cj, ck, ci), "ordered")
     assert np.allclose(cyc, rotate_descriptor_values(base, 1))
 
 
@@ -382,14 +386,15 @@ def test_query_rotations_meet_the_stored_descriptor(convention, dim):
     ids = ("A", "B", "C")
     for _ in range(100):
         inv = rng.uniform(-60.0, 60.0, dim)
-        stored = make_descriptor(inv, convention, ids)
+        stored, shift = make_descriptor(inv, convention)
+        stored_ids = _rotated(ids, shift)
         for s in range(3):
             image_ids = ids[s:] + ids[:s]
             queries = dict(query_rotations(rotate_descriptor_values(inv, s), convention))
             maps = [
                 r for r in range(3)
-                if all(image_ids[(r + m) % 3] == stored.ids[m] for m in range(3))
+                if all(image_ids[(r + m) % 3] == stored_ids[m] for m in range(3))
             ]
             assert len(maps) == 1
             key = None if convention == "p2" else maps[0]
-            assert queries[key].tobytes() == stored.values.tobytes()
+            assert queries[key].tobytes() == stored.tobytes()

@@ -63,6 +63,7 @@ def test_traced_identify_matches_untraced(patch_index, patch_pose, apollo_camera
     assert np.array_equal(traced.r_m, plain.r_m)
     assert spans["pose.solve_position"]["calls"] > 0
     assert spans["metrics.gate_statistic"]["calls"] > 0
+    assert spans["index.query"]["calls"] > 0
 
 
 def test_traced_index_round_gives_one_strict_metric_per_benchmark_name(
@@ -98,3 +99,6 @@ def test_traced_index_round_gives_one_strict_metric_per_benchmark_name(
     assert set(out) == {m["name"] for m in declared}
     for name in ("invariants.coplanar_triad.calls", "invariants.noncoplanar_triad.calls"):
         assert out[name]["value"] > 0
+    # One k-d build per built and per loaded index: the tree is built in the
+    # wrapped __post_init__, not in a hand-written __init__ or lazily.
+    assert summary["spans"]["index.kdtree_build"]["calls"] == 4
