@@ -464,27 +464,28 @@ def build_index(
         frames = crater_frames(usable, radius)
     else:
         quads = np.array([disk_quadric(r, radius) for r in usable])
-    kept, values, home = [], [], []
-    for tri, ((i, j, k), pixel) in zip(rows, found):
+    kept, shift, values = [], [], []
+    for t, ((i, j, k), _) in enumerate(found):
         mean = units[i] + units[j] + units[k]
         mean = mean / np.linalg.norm(mean)
         try:
             if coplanar:
-                inv = coplanar_triad(*_tangent_plane_conics(frames[tri], mean, radius))
+                inv = coplanar_triad(*_tangent_plane_conics(frames[rows[t]], mean, radius))
             else:
-                inv = noncoplanar_triad(*_canonical_view_conics(quads[tri], mean, radius))
+                inv = noncoplanar_triad(*_canonical_view_conics(quads[rows[t]], mean, radius))
         except CraterIdError as exc:
             log.debug("triad %s skipped: %s", [usable[m].id for m in (i, j, k)], exc)
             continue
         vals, r = make_descriptor(inv, scale.convention)
-        kept.append(np.roll(tri, -r))
+        kept.append(t)
+        shift.append(r)
         values.append(vals)
-        home.append(pixel)
-    # An object array sorts by Python string order.
-    ids = np.array([r.id for r in usable], dtype=object)[np.array(kept, dtype=np.intp)]
+    # Rows rotated by the label rotation; an object array of ids sorts in Python string order.
+    rotate = (np.arange(3) + np.array(shift, dtype=np.intp).reshape(-1, 1)) % 3
+    ids = np.array([r.id for r in usable], dtype=object)[np.take_along_axis(rows[kept], rotate, 1)]
     names, triads = np.unique(ids, return_inverse=True)
     triads = triads.reshape(-1, 3).astype(np.int32)
-    home = np.array(home, dtype=np.int64)
+    home = np.array([found[t][1] for t in kept], dtype=np.int64)
     order = np.lexsort((triads[:, 2], triads[:, 1], triads[:, 0], home))
     return DescriptorIndex(
         scale=scale,
