@@ -420,17 +420,17 @@ class DescriptorIndex:
     def __len__(self) -> int:
         return len(self.values)
 
-    def _entries(self, rows) -> list[TriadEntry]:
-        """The triads at ``rows`` (row numbers or a slice) as built rows."""
-        n = self.names
-        ids = [(n[a], n[b], n[c]) for a, b, c in self.triads[rows].tolist()]
-        return list(map(TriadEntry, ids, self.values[rows], self.home[rows].tolist()))
+    def _entries(self, rows: np.ndarray) -> list[TriadEntry]:
+        """The triads at row numbers ``rows`` as built rows."""
+        n, values = self.names, self.values.take(rows, axis=0)
+        ids = [(n[a], n[b], n[c]) for a, b, c in self.triads.take(rows, axis=0).tolist()]
+        return list(map(TriadEntry, ids, values, self.home.take(rows).tolist()))
 
     @property
     def entries(self) -> list[TriadEntry]:
         """Every triad as a ``TriadEntry``, built anew on each access.  Only the
         benchmark's oracles read it; once they read the columns, it can go."""
-        return self._entries(slice(None))
+        return self._entries(np.arange(len(self)))
 
     def query(self, descriptor: np.ndarray, n: int = 1) -> list[tuple[float, TriadEntry]]:
         """Exact ``n`` nearest triads by Euclidean descriptor distance."""
