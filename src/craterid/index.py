@@ -4,7 +4,11 @@ The lunar surface is tiled into equal-area pixels; crater triads are formed
 from each pixel's 3x3 neighborhood, emitted exactly once (by the pixel that
 contains the triad's mean direction), ordered clockwise as a nadir camera
 would see them, and described by scale-appropriate projective invariants.
-Descriptors live in an exact nearest-neighbor structure (k-d tree).
+Enumeration yields arrays: clockwise rows (T, 3), home pixels (T,) and
+tangent frames (T, 3, 3), columns East, North and the mean direction, which
+sums the member directions sorted per coordinate and so ignores record
+order.  The build forms every triad's conics from the frames in stacked
+chunks.  Descriptors live in an exact nearest-neighbor structure (k-d tree).
 
 The index is columns: a sorted crater-id table ``names``, each triad's rows
 into it ``triads`` (T, 3), its descriptor ``values`` (T, d) and its home
@@ -30,7 +34,7 @@ from typing import Iterator
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .camera import Intrinsics, look_at_pose, projection_matrix, project_disk_quadric
+from .camera import Intrinsics, k_matrix, project_disk_quadric
 from .conic2d import normalize_unit_det
 from .crater3d import (
     LUNAR_RADIUS_KM,
@@ -265,9 +269,9 @@ def clockwise_on_sphere(
     return list(np.argsort(ang, kind="stable"))
 
 
-def _clockwise_batch(tri_units: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Vectorized clockwise ordering of triad members (see
-    :func:`clockwise_on_sphere`); ``tri_units`` is (T, 3, 3)."""
+def _tangent_frames(means: np.ndarray) -> np.ndarray:
+    """Frames ``(T, 3, 3)``, columns East, North and the unit mean direction,
+    of unit directions ``means`` (T, 3): :func:`_tangent_basis` stacked."""
     pole = np.array([0.0, 0.0, 1.0])
     e = np.cross(np.broadcast_to(pole, means.shape), means)
     ne = np.linalg.norm(e, axis=1, keepdims=True)
@@ -277,114 +281,102 @@ def _clockwise_batch(tri_units: np.ndarray, means: np.ndarray) -> np.ndarray:
     e /= ne
     n = np.cross(means, e)
     n /= np.linalg.norm(n, axis=1, keepdims=True)
-    centroid = tri_units.mean(axis=1, keepdims=True)
-    d = tri_units - centroid
-    ang = np.arctan2(-np.einsum("tmi,ti->tm", d, n), np.einsum("tmi,ti->tm", d, e))
-    return np.argsort(ang, axis=1, kind="stable")
+    return np.stack([e, n, means], axis=-1)
 
 
 def enumerate_triads(
     records: list[CraterRecord],
     scale: IndexScale,
     radius: float = LUNAR_RADIUS_KM,
-) -> list[tuple[tuple[int, int, int], int]]:
-    """Geometric triad enumeration (indices into ``records``, home pixel).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Geometric triad enumeration: ``(rows, home, frames)``.
 
     For each pixel, craters in its 3x3 neighborhood are combined; a triad is
     kept when (a) no two member rims can intersect (center separation above
     1.1 times the summed semi-major axes), and (b) the normalized mean of
     the member directions maps back to the reference pixel, which makes the
-    emission exactly-once across the sphere.  Member indices are returned in
-    clockwise order.
+    emission exactly-once across the sphere.  ``rows`` (T, 3) are indices
+    into ``records`` in clockwise order, ``home`` (T,) the reference pixels
+    and ``frames`` (T, 3, 3) the :func:`_tangent_frames` at the means, which
+    sum the member directions sorted per coordinate, whatever their order.
     """
-    if len(records) < 3:
-        return []
+    parts = [(np.empty((0, 3), np.intp), np.empty(0, np.int64), np.empty((0, 3)))]
     grid = HealpixGrid(scale.k)
-    units = np.array([crater_center(r.lat, r.lon, 1.0) for r in records])
+    units = np.array([crater_center(r.lat, r.lon, 1.0) for r in records]).reshape(-1, 3)
     semis = np.array([r.a for r in records])
-    pix = grid.ang2pix(units)
     by_pixel: dict[int, list[int]] = {}
-    for idx, p in enumerate(pix):
+    for idx, p in enumerate(grid.ang2pix(units)):
         by_pixel.setdefault(int(p), []).append(idx)
 
-    # A triad's home pixel may itself hold no crater, so candidate home
-    # pixels are the occupied pixels plus their neighborhoods.
-    home_candidates = set(by_pixel)
-    for p in list(by_pixel):
-        home_candidates.update(grid.neighbors(p))
+    # Each occupied pixel's craters join its own and (the neighbour relation being
+    # symmetric) its neighbours' 3x3 neighbourhoods, which may hold no crater.
+    hoods: dict[int, list[int]] = {}
+    for q, members in by_pixel.items():
+        for p in (q, *grid.neighbors(q)):
+            hoods.setdefault(p, []).extend(members)
 
-    out: list[tuple[tuple[int, int, int], int]] = []
-    for p in sorted(home_candidates):
-        cand: list[int] = list(by_pixel.get(p, []))
-        for q in grid.neighbors(p):
-            cand.extend(by_pixel.get(q, []))
-        cand.sort()
-        nc = len(cand)
-        if nc < 3:
+    for p in sorted(hoods):
+        cand = np.array(sorted(hoods[p]))
+        if len(cand) < 3:
             continue
         cu = units[cand]
         # Pairwise non-intersection gate on angular separation.
         sep = np.arccos(np.clip(cu @ cu.T, -1.0, 1.0))
         gate = 1.1 * np.add.outer(semis[cand], semis[cand]) / radius
         ok_pair = sep > gate
-        ii, jj, kk = np.array(list(combinations(range(nc), 3))).T
+        ii, jj, kk = np.array(list(combinations(range(len(cand)), 3))).T
         keep = ok_pair[ii, jj] & ok_pair[ii, kk] & ok_pair[jj, kk]
         if not np.any(keep):
             continue
-        ii, jj, kk = ii[keep], jj[keep], kk[keep]
-        tri_units = np.stack([cu[ii], cu[jj], cu[kk]], axis=1)
-        means = tri_units.sum(axis=1)
+        trio = np.stack([cand[ii[keep]], cand[jj[keep]], cand[kk[keep]]], axis=1)
+        means = np.sort(units[trio], axis=1).sum(axis=1)
         means /= np.linalg.norm(means, axis=1, keepdims=True)
         home = grid.ang2pix(means) == p
-        if not np.any(home):
-            continue
-        ii, jj, kk = ii[home], jj[home], kk[home]
-        tri_units, means = tri_units[home], means[home]
-        order = _clockwise_batch(tri_units, means)
-        cand_arr = np.array(cand)
-        trio = np.stack([cand_arr[ii], cand_arr[jj], cand_arr[kk]], axis=1)
-        ordered = np.take_along_axis(trio, order, axis=1)
-        out.extend((tuple(int(v) for v in row), p) for row in ordered)
-    return out
+        parts.append((trio[home], np.full(np.count_nonzero(home), p, dtype=np.int64), means[home]))
+    trio, home, means = (np.concatenate(c) for c in zip(*parts))
+    frames = _tangent_frames(means)
+    # Clockwise as clockwise_on_sphere orders them: East/North/mean coordinates.
+    tri_units = units[trio]
+    local = (tri_units - tri_units.mean(axis=1, keepdims=True)) @ frames
+    order = np.argsort(np.arctan2(-local[..., 1], local[..., 0]), axis=1, kind="stable")
+    return np.take_along_axis(trio, order, axis=1), home, frames
 
 
-def _tangent_plane_conics(frames: CraterFrame, mean_dir: np.ndarray, radius: float) -> np.ndarray:
-    """Orthogonal projection of a triad's rims (a 3-row table) onto the
-    tangent plane at the triad mean direction, as a stack of det-normalized
-    2D conics (NaN where singular, which ``coplanar_triad`` refuses)."""
-    e, n = _tangent_basis(mean_dir)
-    basis = np.column_stack([e, n])
-    origin = radius * mean_dir
-    out = []
-    for t_em, p_c, conic in zip(frames.t_em, frames.p_c, frames.conic):
-        m2 = basis.T @ t_em[:, :2]  # in-plane axes -> tangent plane
-        t0 = basis.T @ (p_c - origin)
-        m = np.eye(3)
-        m[:2, :2] = m2
-        m[:2, 2] = t0
-        mi = np.linalg.inv(m)
-        out.append(mi.T @ conic @ mi)
-    return normalize_unit_det(np.array(out))
+_CHUNK = 512  # triads whose conics are stacked at once, which bounds the build's memory
+
+
+def _tangent_plane_conics(
+    table: CraterFrame, rows: np.ndarray, frames: np.ndarray, radius: float
+) -> np.ndarray:
+    """Orthogonal projection of the rims of triads ``rows`` (rows of
+    ``table``) onto the tangent plane at each triad's mean direction, in its
+    East/North axes: ``(T, 3, 3, 3)`` det-normalized 2D conics (NaN where
+    singular)."""
+    axes = frames[:, None, :, :2].mT  # (T, 1, 2, 3)
+    origin = radius * frames[:, None, :, 2]
+    m = np.zeros(rows.shape + (3, 3))
+    m[..., :2, :2] = axes @ table.t_em[rows][..., :2]  # in-plane axes -> tangent plane
+    m[..., :2, 2] = (axes @ (table.p_c[rows] - origin)[..., None])[..., 0]
+    m[..., 2, 2] = 1.0
+    mi = np.linalg.inv(m)
+    return normalize_unit_det(mi.mT @ table.conic[rows] @ mi)
 
 
 _CANONICAL_VIEW_ALTITUDE_FACTOR = 3.0
 
 
-def _canonical_view_conics(quads: np.ndarray, mean_dir: np.ndarray, radius: float) -> np.ndarray:
-    """Project three disk quadrics with a canonical synthetic camera.
-
-    Any projective view yields the same non-coplanar invariants; a fixed
-    high-altitude nadir view keeps the geometry well conditioned.
-    """
-    e, _ = _tangent_basis(mean_dir)
-    r_cam = radius * (1.0 + _CANONICAL_VIEW_ALTITUDE_FACTOR) * mean_dir
-    pose = look_at_pose(r_cam, np.zeros(3), up_hint=e)
-    intr = Intrinsics(dx=1000.0, dy=1000.0)
-    p = projection_matrix(intr, pose)
-    conics = project_disk_quadric(p, quads)
-    if np.isnan(conics).any():
-        raise NotAnEllipseError("a rim is no ellipse in the canonical view")
-    return conics
+def _canonical_cameras(frames: np.ndarray, radius: float) -> np.ndarray:
+    """Projection matrices ``(T, 3, 4)`` of the triads' canonical cameras,
+    ``projection_matrix(Intrinsics(1000, 1000), look_at_pose(r_cam, 0, East))``
+    at ``r_cam = (1 + _CANONICAL_VIEW_ALTITUDE_FACTOR) radius mean``, whose
+    attitude rows are -North, mean x North (-East) and -mean.  Any projective
+    view yields the same non-coplanar invariants; a fixed high-altitude nadir
+    view keeps the geometry well conditioned."""
+    n, mean = frames[:, :, 1], frames[:, :, 2]
+    t_mc = np.stack([-n, np.cross(mean, n), -mean], axis=1)
+    r_cam = radius * (1.0 + _CANONICAL_VIEW_ALTITUDE_FACTOR) * mean
+    ext = np.concatenate([np.broadcast_to(np.eye(3), t_mc.shape), -r_cam[:, :, None]], axis=2)
+    return k_matrix(Intrinsics(dx=1000.0, dy=1000.0)) @ t_mc @ ext
 
 
 @dataclass
@@ -456,36 +448,38 @@ def build_index(
     home pixel, then by crater ids, whatever the order of ``records``.
     """
     usable = filter_catalog(records, scale)
-    found = enumerate_triads(usable, scale, radius)
-    rows = np.array([tri for tri, _ in found], dtype=np.intp).reshape(-1, 3)
-    units = [crater_center(r.lat, r.lon, 1.0) for r in usable]
+    rows, home, frames = enumerate_triads(usable, scale, radius)
     coplanar = scale.descriptor_kind == "coplanar7"
     if coplanar:
-        frames = crater_frames(usable, radius)
+        table = crater_frames(usable, radius)
     else:
         quads = np.array([disk_quadric(r, radius) for r in usable])
     kept, shift, values = [], [], []
-    for t, ((i, j, k), _) in enumerate(found):
-        mean = units[i] + units[j] + units[k]
-        mean = mean / np.linalg.norm(mean)
-        try:
-            if coplanar:
-                inv = coplanar_triad(*_tangent_plane_conics(frames[rows[t]], mean, radius))
-            else:
-                inv = noncoplanar_triad(*_canonical_view_conics(quads[rows[t]], mean, radius))
-        except CraterIdError as exc:
-            log.debug("triad %s skipped: %s", [usable[m].id for m in (i, j, k)], exc)
-            continue
-        vals, r = make_descriptor(inv, scale.convention)
-        kept.append(t)
-        shift.append(r)
-        values.append(vals)
+    for start in range(0, len(rows), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        if coplanar:
+            conics = _tangent_plane_conics(table, rows[part], frames[part], radius)
+        else:
+            cameras = _canonical_cameras(frames[part], radius)[:, None]
+            conics = project_disk_quadric(cameras, quads[rows[part]])
+        for t, triad in enumerate(conics, start):
+            try:
+                if np.isnan(triad).any():
+                    raise NotAnEllipseError("a rim is no ellipse in the triad's view")
+                inv = coplanar_triad(*triad) if coplanar else noncoplanar_triad(*triad)
+            except CraterIdError as exc:
+                log.debug("triad %s skipped: %s", [usable[m].id for m in rows[t]], exc)
+                continue
+            vals, r = make_descriptor(inv, scale.convention)
+            kept.append(t)
+            shift.append(r)
+            values.append(vals)
     # Rows rotated by the label rotation; an object array of ids sorts in Python string order.
     rotate = (np.arange(3) + np.array(shift, dtype=np.intp).reshape(-1, 1)) % 3
     ids = np.array([r.id for r in usable], dtype=object)[np.take_along_axis(rows[kept], rotate, 1)]
     names, triads = np.unique(ids, return_inverse=True)
     triads = triads.reshape(-1, 3).astype(np.int32)
-    home = np.array([found[t][1] for t in kept], dtype=np.int64)
+    home = home[kept]
     order = np.lexsort((triads[:, 2], triads[:, 1], triads[:, 0], home))
     return DescriptorIndex(
         scale=scale,
@@ -494,7 +488,7 @@ def build_index(
         values=np.array(values, dtype=float).reshape(-1, 7 if coplanar else 3)[order],
         home=home[order],
         radius=radius,
-        skipped=len(found) - len(kept),
+        skipped=len(rows) - len(kept),
     )
 
 
@@ -532,31 +526,34 @@ def load_index(path: str | Path) -> DescriptorIndex:
 
     Raises ``VersionMismatchError`` on bad magic, version, config hash,
     truncation, trailing bytes, a crater id table that disagrees with its
-    count, or a triad code outside that table.
+    count, or a triad code outside that table; each message names ``path``.
     """
-    with open(path, "rb") as fh:
-        if _read_exact(fh, len(_MAGIC)) != _MAGIC:
-            raise VersionMismatchError("not a crater index file")
-        version, cfg_len = struct.unpack("<II", _read_exact(fh, 8))
-        if version != _FORMAT_VERSION:
-            raise VersionMismatchError(f"unsupported index version {version}")
-        cfg = _read_exact(fh, cfg_len)
-        if hashlib.sha256(cfg).digest() != _read_exact(fh, 32):
-            raise VersionMismatchError("scale config hash mismatch")
-        scale = IndexScale.from_json(cfg.decode("utf-8"))
-        radius, count, dim, n_names, names_len = _HEADER.unpack(_read_exact(fh, _HEADER.size))
-        names_blob = _read_exact(fh, names_len)
-        triads = np.frombuffer(_read_exact(fh, 12 * count), dtype="<i4").reshape(count, 3)
-        home = np.frombuffer(_read_exact(fh, 8 * count), dtype="<i8")
-        values = np.frombuffer(_read_exact(fh, 8 * count * dim), dtype="<f8").reshape(count, dim)
-        if fh.read(1):
-            raise VersionMismatchError("trailing bytes in index file")
     try:
-        names = names_blob.decode("utf-8").split("\n") if n_names or names_blob else []
-    except UnicodeDecodeError as exc:
-        raise VersionMismatchError("crater id table is not UTF-8") from exc
-    if len(names) != n_names:
-        raise VersionMismatchError("crater id table length mismatch")
-    if count and not (triads.min() >= 0 and triads.max() < n_names):
-        raise VersionMismatchError("triad crater code outside the id table")
-    return DescriptorIndex(scale, names, triads, values, home, radius)
+        with open(path, "rb") as fh:
+            if _read_exact(fh, len(_MAGIC)) != _MAGIC:
+                raise VersionMismatchError("not a crater index file")
+            version, cfg_len = struct.unpack("<II", _read_exact(fh, 8))
+            if version != _FORMAT_VERSION:
+                raise VersionMismatchError(f"unsupported index version {version}")
+            cfg = _read_exact(fh, cfg_len)
+            if hashlib.sha256(cfg).digest() != _read_exact(fh, 32):
+                raise VersionMismatchError("scale config hash mismatch")
+            scale = IndexScale.from_json(cfg.decode("utf-8"))
+            radius, count, dim, n_names, names_len = _HEADER.unpack(_read_exact(fh, _HEADER.size))
+            names_blob = _read_exact(fh, names_len)
+            triads = np.frombuffer(_read_exact(fh, 12 * count), dtype="<i4").reshape(count, 3)
+            home = np.frombuffer(_read_exact(fh, 8 * count), dtype="<i8")
+            values = np.frombuffer(_read_exact(fh, 8 * count * dim), dtype="<f8")
+            if fh.read(1):
+                raise VersionMismatchError("trailing bytes in index file")
+        try:
+            names = names_blob.decode("utf-8").split("\n") if n_names or names_blob else []
+        except UnicodeDecodeError as exc:
+            raise VersionMismatchError("crater id table is not UTF-8") from exc
+        if len(names) != n_names:
+            raise VersionMismatchError("crater id table length mismatch")
+        if count and not (triads.min() >= 0 and triads.max() < n_names):
+            raise VersionMismatchError("triad crater code outside the id table")
+        return DescriptorIndex(scale, names, triads, values.reshape(count, dim), home, radius)
+    except CraterIdError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

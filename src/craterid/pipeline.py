@@ -591,9 +591,9 @@ def save_detections(
     truth: dict[int, str] | None = None,
 ) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if truth:
-            fh.write("# truth: " + json.dumps(truth, sort_keys=True) + "\n")
         w = csv.writer(fh)
+        if truth:  # one CSV cell, so a quote in an id cannot open a field over the next rows
+            w.writerow(["# truth: " + json.dumps(truth, sort_keys=True)])
         w.writerow(DETECTIONS_HEADER)
         for d in detections:
             w.writerow(

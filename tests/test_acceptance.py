@@ -420,8 +420,8 @@ def test_criterion_8_index_contracts(local_index, tmp_path):
 
     cat200 = synthetic_catalog(n=200, d_min=80, d_max=200, seed=81, max_ellipticity=1.1)
     scale = IndexScale("x", 2, 50.0, np.inf, 1.2, 0.9, "noncoplanar3", "ordered")
-    triads = enumerate_triads(cat200, scale)
-    keys = [tuple(sorted(t)) for t, _ in triads]
+    rows, _, _ = enumerate_triads(cat200, scale)
+    keys = [tuple(sorted(t)) for t in rows.tolist()]
     grid = HealpixGrid(scale.k)
     units = np.array([crater_center(r.lat, r.lon, 1.0) for r in cat200])
     pix = np.asarray(grid.ang2pix(units))

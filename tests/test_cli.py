@@ -144,6 +144,19 @@ def test_identify_warns_once_on_a_repeated_catalog_id(
     assert json.loads(captured.out.strip().splitlines()[-1])["status"] == "matched"
 
 
+def _loading_args(tmp_path, command: str) -> list[str]:
+    """The rest of an ``identify`` or ``montecarlo`` command line besides the
+    camera, index and catalogue: two detections, or a one-trial config."""
+    dets_file = tmp_path / "dets.csv"
+    dets_file.write_text("u_c,v_c,a_px,b_px,psi_rad\n200,200,40,30,0.1\n900,300,52,41,0.9\n")
+    cfg = tmp_path / "mc.txt"
+    cfg.write_text("trials 1\naltitude_km 150\nnoise_px 0.5\n")
+    return {
+        "identify": ["--detections", str(dets_file), "--attitude", "0,0,0,1"],
+        "montecarlo": ["--config", str(cfg)],
+    }[command]
+
+
 @pytest.mark.parametrize("command", ["identify", "montecarlo"])
 def test_index_from_another_catalog_is_refused(
     tmp_path, camera_file, catalog_file, index_file, command, capsys
@@ -156,23 +169,30 @@ def test_index_from_another_catalog_is_refused(
     assert len(dropped) == 2
     short = tmp_path / "short.csv"
     short.write_text("".join(line for line in lines if line not in dropped))
-    dets_file = tmp_path / "dets.csv"
-    dets_file.write_text("u_c,v_c,a_px,b_px,psi_rad\n200,200,40,30,0.1\n900,300,52,41,0.9\n")
-    cfg = tmp_path / "mc.txt"
-    cfg.write_text("trials 1\naltitude_km 150\nnoise_px 0.5\n")
-    args = {
-        "identify": ["--detections", str(dets_file), "--attitude", "0,0,0,1"],
-        "montecarlo": ["--config", str(cfg)],
-    }[command]
     rc = main(
         [command, "--camera", str(camera_file), "--index", str(index_file),
-         "--catalog", str(short), *args]
+         "--catalog", str(short), *_loading_args(tmp_path, command)]
     )
     err = capsys.readouterr().err
     assert rc == 1
     assert "Traceback" not in err
     (line,) = _error_lines(err)
     assert line == f"error: {index_file}: 2 crater ids not in {short} (first: {names[0]})"
+
+
+@pytest.mark.parametrize("command", ["identify", "montecarlo"])
+def test_cut_index_file_is_named(tmp_path, camera_file, catalog_file, index_file, command, capsys):
+    # load_index's errors name the file they are about.
+    cut = tmp_path / "cut.idx"
+    cut.write_bytes(index_file.read_bytes()[:1000])
+    rc = main(
+        [command, "--camera", str(camera_file), "--index", str(cut),
+         "--catalog", str(catalog_file), *_loading_args(tmp_path, command)]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert _error_lines(err) == [f"error: {cut}: index file truncated"]
 
 
 def test_identify_no_match_exit_code(tmp_path, camera_file, catalog_file, index_file, capsys):

@@ -251,9 +251,9 @@ def test_enumeration_exactly_once_by_global_counting():
     # compare against the per-pixel enumeration.
     cat = synthetic_catalog(n=200, d_min=80, d_max=200, seed=11, max_ellipticity=1.1)
     scale = IndexScale("t", 2, 50.0, np.inf, 1.2, 0.9, "noncoplanar3", "ordered")
-    triads = enumerate_triads(cat, scale)
+    rows, _, _ = enumerate_triads(cat, scale)
     seen = set()
-    for tri, home in triads:
+    for tri in rows.tolist():
         key = tuple(sorted(tri))
         assert key not in seen, "triad emitted twice"
         seen.add(key)
@@ -286,11 +286,11 @@ def test_enumeration_exactly_once_by_global_counting():
 
 def test_enumeration_clockwise_and_home_pixel():
     cat = patch_catalog(n=10, seed=5)
-    triads = enumerate_triads(cat, PATCH_SCALE)
-    assert triads
+    rows, homes, _ = enumerate_triads(cat, PATCH_SCALE)
+    assert len(rows)
     grid = HealpixGrid(PATCH_SCALE.k)
     units = [crater_center(r.lat, r.lon, 1.0) for r in cat]
-    for tri, home in triads:
+    for tri, home in zip(rows.tolist(), homes.tolist()):
         mean = units[tri[0]] + units[tri[1]] + units[tri[2]]
         mean /= np.linalg.norm(mean)
         assert int(grid.ang2pix(mean)) == home
@@ -311,15 +311,57 @@ def test_enumeration_intersection_gate():
         CraterRecord("d", sep, sep, 20.0, 19.0, 0.0),
     ]
     scale = IndexScale("t", 1, 30.0, 50.0, 1.2, 0.9, "coplanar7", "ordered")
-    triads = enumerate_triads(recs, scale)
-    for tri, _ in triads:
+    rows, _, _ = enumerate_triads(recs, scale)
+    for tri in rows.tolist():
         assert not ({0, 1} <= set(tri))
 
 
 def test_fewer_than_three_records():
     scale = IndexScale("t", 2, 1.0, 100.0, 2.0, 0.5, "coplanar7", "ordered")
-    assert enumerate_triads([], scale) == []
-    assert enumerate_triads([_rec("one", 5, 4)], scale) == []
+    for records in ([], [_rec("one", 5, 4)]):
+        rows, home, frames = enumerate_triads(records, scale)
+        assert (rows.shape, home.shape, frames.shape) == ((0, 3), (0,), (0, 3, 3))
+
+
+def test_enumeration_frames_do_not_depend_on_record_order():
+    # Each triad's frame is orthonormal with the normalized member sum as
+    # its third column, and a shuffled catalogue gives the same triads (its
+    # rows mapped back), home pixels and frame bytes.
+    cat = synthetic_catalog(n=200, d_min=80, d_max=200, seed=11, max_ellipticity=1.1)
+    scale = IndexScale("t", 2, 50.0, np.inf, 1.2, 0.9, "noncoplanar3", "ordered")
+    rows, home, frames = enumerate_triads(cat, scale)
+    assert len(rows) > 50
+    assert np.abs(frames.mT @ frames - np.eye(3)).max() < 1e-12
+    units = np.array([crater_center(r.lat, r.lon, 1.0) for r in cat])
+    mean = units[rows].sum(axis=1)
+    mean /= np.linalg.norm(mean, axis=1, keepdims=True)
+    assert np.abs(frames[:, :, 2] - mean).max() < 1e-15
+    perm = np.random.default_rng(4).permutation(len(cat))
+    rows2, home2, frames2 = enumerate_triads([cat[i] for i in perm], scale)
+
+    def keyed(rows, home, frames):
+        return sorted(zip(home.tolist(), map(tuple, rows.tolist()), (f.tobytes() for f in frames)))
+
+    assert keyed(rows, home, frames) == keyed(perm[rows2], home2, frames2)
+
+
+def test_canonical_cameras_equal_look_at_pose():
+    # The build's stacked canonical cameras are projection_matrix of
+    # look_at_pose, also where East falls back to the x axis at a pole.
+    from craterid.camera import Intrinsics, look_at_pose, projection_matrix
+
+    near_poles = [[4e-10, -3e-10, 1.0], [0.0, 0.0, -1.0]]
+    means = np.vstack([np.random.default_rng(8).normal(size=(40, 3)), near_poles])
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    frames = index_mod._tangent_frames(means)
+    assert np.array_equal(frames[-2:, :, 0], [[1.0, 0.0, 0.0]] * 2)
+    radius = index_mod.LUNAR_RADIUS_KM
+    stacked = index_mod._canonical_cameras(frames, radius)
+    r_cam = radius * (1.0 + index_mod._CANONICAL_VIEW_ALTITUDE_FACTOR) * means
+    for p, r, east in zip(stacked, r_cam, frames[:, :, 0]):
+        pose = look_at_pose(r, np.zeros(3), up_hint=east)
+        ref = projection_matrix(Intrinsics(1000.0, 1000.0), pose)
+        assert np.abs(p - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 # -- descriptor index -----------------------------------------------------------
@@ -499,5 +541,5 @@ def test_reduction_versus_all_combinations():
     # A 31-crater global-style catalog must index far fewer triads than
     # C(31, 3) = 4495.
     cat = synthetic_catalog(n=31, d_min=110, d_max=300, seed=13, max_ellipticity=1.1)
-    triads = enumerate_triads(cat, GLOBAL_SCALE)
-    assert 0 < len(triads) <= 4495 / 5
+    rows, _, _ = enumerate_triads(cat, GLOBAL_SCALE)
+    assert 0 < len(rows) <= 4495 / 5

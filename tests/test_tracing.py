@@ -81,11 +81,14 @@ def test_traced_index_round_gives_one_strict_metric_per_benchmark_name(
     layers.install(tracer, 13.277)
     try:
         since = tracer.mark()
+        builds = {}
         for name, records, scale in (
             ("patch", patch_records, PATCH_SCALE),
             ("global", global_catalog[:60], global_scale),
         ):
+            mark = tracer.mark()
             built = index.build_index(records, scale)
+            builds[name] = tracer.summary(mark)["spans"]
             assert len(built) > 0
             index.save_index(built, tmp_path / f"{name}.idx")
             index.load_index(tmp_path / f"{name}.idx")
@@ -102,3 +105,7 @@ def test_traced_index_round_gives_one_strict_metric_per_benchmark_name(
     # One k-d build per built and per loaded index: the tree is built in the
     # wrapped __post_init__, not in a hand-written __init__ or lazily.
     assert summary["spans"]["index.kdtree_build"]["calls"] == 4
+    # Each build still calls the wrapped names, so a traced run finds them.
+    for spans in builds.values():
+        assert spans["index.enumerate_triads"]["calls"] >= 1
+    assert builds["global"]["camera.project_disk_quadric"]["calls"] >= 1
