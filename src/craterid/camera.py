@@ -43,6 +43,7 @@ __all__ = [
     "look_at_pose",
     "pose_above",
     "quaternion_to_matrix",
+    "read_text",
     "read_key_values",
     "CAMERA_KEYS",
     "parse_camera_file",
@@ -235,6 +236,17 @@ def quaternion_to_matrix(q: np.ndarray) -> np.ndarray:
     )
 
 
+def read_text(path: str | Path) -> str:
+    """Contents of the UTF-8 text file ``path``, the encoding of every text
+    input; ``CraterIdError`` naming the file if it cannot be read or decoded."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CraterIdError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CraterIdError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+
+
 def read_key_values(path: str | Path, parsers: dict, required: tuple[str, ...]) -> dict:
     """``{key: parsers[key](value)}`` of a key-value text file.
 
@@ -245,7 +257,7 @@ def read_key_values(path: str | Path, parsers: dict, required: tuple[str, ...]) 
     ``file:line``; so does a missing ``required`` key, naming the file.
     """
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

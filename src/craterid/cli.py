@@ -21,6 +21,7 @@ from .camera import (
     pose_above,
     quaternion_to_matrix,
     read_key_values,
+    read_text,
 )
 from .conic2d import EllipseParams, ellipse_to_conic
 from .crater3d import crater_center
@@ -65,7 +66,7 @@ _CAMERA_HELP = "camera file, 'key value' lines: " + ", ".join(CAMERA_KEYS)
 def _parse_attitude(spec: str) -> np.ndarray:
     """Attitude from 'qx,qy,qz,qw' (scalar-last) or 9 row-major numbers,
     either inline or in a file; ``IdentifyRequest`` checks the rotation."""
-    text = Path(spec).read_text() if Path(spec).exists() else spec
+    text = read_text(spec) if Path(spec).exists() else spec
     try:
         vals = [float(v) for v in text.replace(",", " ").split()]
         if len(vals) in (4, 9):

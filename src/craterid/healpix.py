@@ -1,7 +1,12 @@
 """Equal-area hierarchical sphere pixelization (NESTED scheme).
 
 Implements exactly the two queries the crater index needs: direction to
-pixel id, and the (at most 8) edge/corner-adjacent pixels.  Resolution is
+pixel id, and the (at most 8) edge/corner-adjacent pixels.  Both take an
+array and give one result per element, or a plain result for one input.
+``neighbors`` of a pixel array ``(n,)`` is an ``(n, 8)`` int64 array of
+ascending rows, -1 standing for the missing corner of the 24 polar
+face-corner pixels (and for the two missing blocks of each base pixel at
+``k = 0``); no row repeats an id or holds its own pixel.  Resolution is
 given by the exponent ``k`` with ``N_side = 2^k`` and ``N_pix = 12 * 4^k``.
 """
 
@@ -140,63 +145,34 @@ class HealpixGrid:
             _spread_bits(iy) << 1
         )
 
-    def _nest2xyf(self, pix: int) -> tuple[int, int, int]:
-        ns2 = self.nside * self.nside
-        face, ipf = divmod(int(pix), ns2)
-        arr = np.array([ipf])
-        ix = int(_compress_bits(arr)[0])
-        iy = int(_compress_bits(arr >> 1)[0])
-        return ix, iy, face
-
     # -- adjacency ----------------------------------------------------------
 
-    def neighbors(self, pix: int) -> list[int]:
-        """Edge/corner-adjacent pixel ids, deduplicated, without ``pix`` itself.
-
-        Bulk pixels have 8 neighbors; the pixels at the 24 polar face corners
-        have only 7 (there is no pixel across the missing corner).
+    def neighbors(self, pix: np.ndarray | int) -> np.ndarray | list[int]:
+        """Edge/corner-adjacent pixel ids of ``pix``, without ``pix`` itself:
+        ``(n, 8)`` rows for an array (see the module docstring), the ascending
+        list of ints for one pixel.  Bulk pixels have 8 neighbors; the pixels
+        at the 24 polar face corners have only 7 (there is no pixel across
+        the missing corner).
         """
-        if not 0 <= pix < self.npix:
-            raise ValueError(f"pixel {pix} out of range for k={self.k}")
+        scalar = np.ndim(pix) == 0
+        p = np.atleast_1d(np.asarray(pix, dtype=np.int64))
+        bad = p[(p < 0) | (p >= self.npix)]
+        if bad.size:
+            raise ValueError(f"pixel {bad[0]} out of range for k={self.k}")
         ns = self.nside
-        ix, iy, face = self._nest2xyf(pix)
-        out: list[int] = []
-        for m in range(8):
-            x = ix + int(_XOFFSET[m])
-            y = iy + int(_YOFFSET[m])
-            block = 4
-            if x < 0:
-                x += ns
-                block -= 1
-            elif x >= ns:
-                x -= ns
-                block += 1
-            if y < 0:
-                y += ns
-                block -= 3
-            elif y >= ns:
-                y -= ns
-                block += 3
-            if block == 4:
-                nb_face = face
-            else:
-                nb_face = int(_FACEARRAY[block][face])
-                if nb_face < 0:
-                    continue
-                bits = int(_SWAPARRAY[block][face >> 2])
-                if bits & 1:
-                    x = ns - x - 1
-                if bits & 2:
-                    y = ns - y - 1
-                if bits & 4:
-                    x, y = y, x
-            q = int(
-                self._xyf2nest(
-                    np.array([x], dtype=np.int64),
-                    np.array([y], dtype=np.int64),
-                    np.array([nb_face], dtype=np.int64),
-                )[0]
-            )
-            if q != pix and q not in out:
-                out.append(q)
-        return out
+        face, ipf = np.divmod(p[:, None], ns * ns)
+        x = _compress_bits(ipf) + _XOFFSET
+        y = _compress_bits(ipf >> 1) + _YOFFSET
+        # The 3x3 face block each step lands in (row 4 of the tables is the
+        # pixel's own face); off the face, the coordinates wrap, flip and swap.
+        dx = (x >= ns).astype(np.int64) - (x < 0)
+        dy = (y >= ns).astype(np.int64) - (y < 0)
+        block = 4 + dx + 3 * dy
+        x, y = x - dx * ns, y - dy * ns
+        nb_face = _FACEARRAY[block, face]
+        bits = _SWAPARRAY[block, face >> 2]
+        x = np.where(bits & 1, ns - x - 1, x)
+        y = np.where(bits & 2, ns - y - 1, y)
+        x, y = np.where(bits & 4, y, x), np.where(bits & 4, x, y)
+        q = np.sort(np.where(nb_face < 0, -1, self._xyf2nest(x, y, nb_face)), axis=1)
+        return [int(v) for v in q[0] if v >= 0] if scalar else q

@@ -34,7 +34,7 @@ from typing import Iterator
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .camera import Intrinsics, k_matrix, project_disk_quadric
+from .camera import Intrinsics, k_matrix, project_disk_quadric, read_text
 from .conic2d import normalize_unit_det
 from .crater3d import (
     LUNAR_RADIUS_KM,
@@ -147,11 +147,7 @@ def read_csv_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, li
     The first other row must equal ``header`` up to case and padding, else
     ``SchemaError`` at ``file:line``.  Callers check field counts and values.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CraterIdError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(read_text(path)))
     header_seen = False
     next_line = 1
     for row in reader:
@@ -304,19 +300,17 @@ def enumerate_triads(
     grid = HealpixGrid(scale.k)
     units = np.array([crater_center(r.lat, r.lon, 1.0) for r in records]).reshape(-1, 3)
     semis = np.array([r.a for r in records])
-    by_pixel: dict[int, list[int]] = {}
-    for idx, p in enumerate(grid.ang2pix(units)):
-        by_pixel.setdefault(int(p), []).append(idx)
-
-    # Each occupied pixel's craters join its own and (the neighbour relation being
-    # symmetric) its neighbours' 3x3 neighbourhoods, which may hold no crater.
-    hoods: dict[int, list[int]] = {}
-    for q, members in by_pixel.items():
-        for p in (q, *grid.neighbors(q)):
-            hoods.setdefault(p, []).extend(members)
-
-    for p in sorted(hoods):
-        cand = np.array(sorted(hoods[p]))
+    # Each crater joins its own pixel's and (the neighbour relation being
+    # symmetric) its neighbours' 3x3 neighbourhoods, which may hold no crater,
+    # through one neighbors call for all occupied pixels.  The hoods come in
+    # ascending pixel order, each with its craters ascending.
+    occupied, inverse = np.unique(grid.ang2pix(units), return_inverse=True)
+    hood = np.column_stack([occupied, grid.neighbors(occupied)])[inverse].ravel()
+    crater = np.repeat(np.arange(len(records)), 9)
+    order = np.lexsort((crater, hood))
+    order = order[hood[order] >= 0]
+    pixels, starts = np.unique(hood[order], return_index=True)
+    for p, cand in zip(pixels.tolist(), np.split(crater[order], starts[1:])):
         if len(cand) < 3:
             continue
         cu = units[cand]

@@ -188,14 +188,18 @@ def pair_G(
     return g1, g2, g1 / root, g2 / root
 
 
-def rotate_descriptor_values(values: np.ndarray, r: int) -> np.ndarray:
-    """Descriptor vector after cyclically relabeling the craters ``r`` steps."""
+# Row r relabels the craters r steps: positions [r, r+1, r+2] mod 3 of the
+# first three invariants, the same on 3-5, and the triple invariant 6 fixed.
+_ROTATIONS = np.array([[0, 1, 2, 3, 4, 5, 6], [1, 2, 0, 4, 5, 3, 6], [2, 0, 1, 5, 3, 4, 6]])
+
+
+def rotate_descriptor_values(values: np.ndarray, r: int | list[int]) -> np.ndarray:
+    """Descriptor vector after cyclically relabeling the craters ``r`` steps;
+    a list of rotations gives one row per rotation."""
     values = np.asarray(values, dtype=float)
-    if values.shape == (3,):
-        return np.roll(values, -r)
-    if values.shape == (7,):
-        return np.concatenate([np.roll(values[:3], -r), np.roll(values[3:6], -r), values[6:]])
-    raise ValueError("descriptor must have 3 or 7 elements")
+    if values.shape not in ((3,), (7,)):
+        raise ValueError("descriptor must have 3 or 7 elements")
+    return values[_ROTATIONS[r, : len(values)]]
 
 
 def make_descriptor(values: np.ndarray, convention: str) -> tuple[np.ndarray, int]:
@@ -250,5 +254,5 @@ def query_rotations(
     else:
         raise ValueError(f"unknown convention {convention!r}")
     rotations = [(first + off) % 3 for off in range(3)]
-    return [(r, rotate_descriptor_values(vec, r)) for r in rotations]
+    return list(zip(rotations, rotate_descriptor_values(vec, rotations)))
 

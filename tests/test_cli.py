@@ -195,6 +195,37 @@ def test_cut_index_file_is_named(tmp_path, camera_file, catalog_file, index_file
     assert _error_lines(err) == [f"error: {cut}: index file truncated"]
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("build-index", "--catalog"),
+        ("identify", "--catalog"),
+        ("identify", "--detections"),
+        ("identify", "--camera"),
+        ("identify", "--attitude"),
+        ("montecarlo", "--config"),
+    ],
+)
+def test_non_utf8_input_file_is_named(
+    tmp_path, camera_file, catalog_file, index_file, command, option, capsys
+):
+    # Text inputs are UTF-8; a file in another encoding is refused by name.
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("id,lat_deg\n\xffcrat\xe8re\n".encode("latin-1"))
+    if command == "build-index":
+        argv = [command, "--catalog", str(catalog_file), "--out", str(tmp_path / "out.idx")]
+    else:
+        argv = [command, "--camera", str(camera_file), "--index", str(index_file),
+                "--catalog", str(catalog_file), *_loading_args(tmp_path, command)]
+    argv[argv.index(option) + 1] = str(bad)
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    (line,) = _error_lines(err)
+    assert line.startswith(f"error: {bad}: not UTF-8")
+
+
 def test_identify_no_match_exit_code(tmp_path, camera_file, catalog_file, index_file, capsys):
     # Detections that correspond to nothing: far-apart synthetic blobs.
     dets_file = tmp_path / "noise.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from craterid.healpix import HealpixGrid, npix
+from craterid.healpix import _FACEARRAY, _SWAPARRAY, _XOFFSET, _YOFFSET, HealpixGrid, npix
 
 
 def ring_ang2pix(k: int, vec: np.ndarray) -> np.ndarray:
@@ -135,7 +135,8 @@ def test_ang2pix_deterministic():
 def test_neighbor_symmetry_and_irreflexivity():
     for k in (1, 2, 3):
         g = HealpixGrid(k)
-        neigh = {p: set(g.neighbors(p)) for p in range(g.npix)}
+        rows = g.neighbors(np.arange(g.npix))
+        neigh = {p: set(row[row >= 0].tolist()) for p, row in enumerate(rows)}
         for p, ns in neigh.items():
             assert p not in ns
             for q in ns:
@@ -143,12 +144,72 @@ def test_neighbor_symmetry_and_irreflexivity():
 
 
 def test_neighbor_counts():
-    for k in (2, 3, 4):
+    for k in (1, 2, 3, 4):
         g = HealpixGrid(k)
-        counts = np.array([len(g.neighbors(p)) for p in range(g.npix)])
+        counts = np.count_nonzero(g.neighbors(np.arange(g.npix)) >= 0, axis=1)
         assert counts.max() == 8
         assert np.count_nonzero(counts == 7) == 24  # polar face corners
         assert np.count_nonzero(counts < 7) == 0
+
+
+def _walk_neighbors(g: HealpixGrid, pix: int) -> list[int]:
+    """Neighbor ids of one pixel by stepping in each of the 8 directions with
+    Python integers and branches (test reference for the array form)."""
+    ns = g.nside
+
+    def unspread(v):
+        return sum(((v >> (2 * b)) & 1) << b for b in range(g.k))
+
+    def spread(v):
+        return sum(((v >> b) & 1) << (2 * b) for b in range(g.k))
+
+    face, ipf = divmod(pix, ns * ns)
+    ix, iy = unspread(ipf), unspread(ipf >> 1)
+    out = []
+    for dx, dy in zip(_XOFFSET.tolist(), _YOFFSET.tolist()):
+        x, y, block = ix + dx, iy + dy, 4
+        if x < 0:
+            x, block = x + ns, block - 1
+        elif x >= ns:
+            x, block = x - ns, block + 1
+        if y < 0:
+            y, block = y + ns, block - 3
+        elif y >= ns:
+            y, block = y - ns, block + 3
+        nb_face = face
+        if block != 4:
+            nb_face = int(_FACEARRAY[block][face])
+            if nb_face < 0:
+                continue
+            bits = int(_SWAPARRAY[block][face >> 2])
+            if bits & 1:
+                x = ns - x - 1
+            if bits & 2:
+                y = ns - y - 1
+            if bits & 4:
+                x, y = y, x
+        q = nb_face * ns * ns + spread(x) + (spread(y) << 1)
+        if q != pix and q not in out:
+            out.append(q)
+    return out
+
+
+def test_neighbor_array_form():
+    # One ascending row per pixel, -1 where there is no pixel: the same ids as
+    # the single-pixel list and as the reference walk, none of them twice.
+    for k in range(5):
+        g = HealpixGrid(k)
+        rows = g.neighbors(np.arange(g.npix))
+        assert rows.shape == (g.npix, 8) and rows.dtype == np.int64
+        assert np.all(np.diff(rows, axis=1) >= 0)
+        for p, row in enumerate(rows):
+            valid = row[row >= 0].tolist()
+            assert len(set(valid)) == len(valid)
+            single = g.neighbors(p)
+            assert all(type(q) is int for q in single)
+            assert single == valid == sorted(_walk_neighbors(g, p))
+    # Each base pixel borders 6 others: two of its 8 blocks are missing.
+    assert np.all(np.count_nonzero(HealpixGrid(0).neighbors(np.arange(12)) >= 0, axis=1) == 6)
 
 
 def test_neighbors_contain_all_adjacent_samples():
@@ -173,5 +234,9 @@ def test_pixel_id_range_and_validation():
     assert ids.min() >= 0 and ids.max() < g.npix
     with pytest.raises(ValueError):
         g.neighbors(g.npix)
+    with pytest.raises(ValueError):
+        g.neighbors(np.array([0, 5, g.npix, 7]))
+    with pytest.raises(ValueError):
+        g.neighbors(np.array([3, -1]))
     with pytest.raises(ValueError):
         HealpixGrid(-1)
