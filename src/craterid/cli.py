@@ -141,7 +141,10 @@ def _scale_from_args(args) -> IndexScale:
 def _cmd_build_index(args) -> int:
     records = _load_catalog(args.catalog)
     scale = _scale_from_args(args)
-    index = build_index(records, scale, radius=args.radius)
+    try:
+        index = build_index(records, scale, radius=args.radius)
+    except ValueError as exc:  # the scale is valid, so only the radius is left
+        raise CraterIdError(f"--radius: {exc}") from exc
     save_index(index, args.out)
     print(
         f"{scale.name}: {len(index)} triads from {len(records)} craters "

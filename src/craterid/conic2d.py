@@ -5,9 +5,10 @@ Conics are represented by 3x3 real symmetric matrices of ambiguous scale
 ``[x, y, 1] C [x, y, 1]^T = 0``; the adjugate of ``C`` plays the same role
 for tangent lines.  Lines are length-3 arrays, also of ambiguous scale.
 
-``is_proper_ellipse``, ``conic_center``, ``conic_det``, ``adjugate`` and
-``normalize_unit_det`` also take stacks ``(..., 3, 3)``; where a single conic
-raises, a stack marks the element False or NaN.
+``is_proper_ellipse``, ``conic_center``, ``conic_det``, ``adjugate``,
+``normalize_unit_det`` and the degenerate-pencil functions also take stacks
+``(..., 3, 3)`` (and lines ``(..., 3)``); where a single conic raises, a
+stack marks the element False or NaN.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import (
     AmbiguousSeparationError,
+    CraterIdError,
     InvalidAxesError,
     NotAnEllipseError,
     SingularConicError,
@@ -217,26 +219,45 @@ def normalize_unit_det(c: np.ndarray) -> np.ndarray:
     return out * np.where(polish, np.cbrt(1.0 / d2), 1.0)[..., None, None] if polish.any() else out
 
 
+def _refuse(single: bool, bad, error: type[CraterIdError], message: str) -> None:
+    """The scalar-in, scalar-out rule of the stacked functions: a single
+    element for which ``bad`` holds raises ``error``; a stack carries on, and
+    the function marks the element NaN."""
+    if single and bad:
+        raise error(message)
+
+
 def degenerate_pencil_eigenvalues(ai: np.ndarray, aj: np.ndarray) -> np.ndarray:
     """The three scalars lambda with det(lambda*ai + aj) = 0.
 
     Computed as the eigenvalues of ``(-ai)^-1 aj``; entries may be complex.
+    A singular ``ai`` raises ``SingularConicError``, as does a pencil that is
+    not finite; in a stack the element's three entries are NaN.
     """
-    try:
-        m = np.linalg.solve(-ai, aj)
-    except np.linalg.LinAlgError as exc:
-        raise SingularConicError("first conic of the pencil is singular") from exc
-    return np.linalg.eigvals(m)
+    ai, aj = np.asarray(ai, dtype=float), np.asarray(aj, dtype=float)
+    single = ai.ndim == 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        det = np.linalg.det(ai)
+    # An exact zero pivot, which makes solve raise, makes the determinant 0.
+    ok = np.isfinite(det) & (det != 0.0)
+    _refuse(single, ~ok, SingularConicError, "first conic of the pencil is singular")
+    m = np.linalg.solve(-np.where(ok[..., None, None], ai, np.eye(3)), aj)
+    ok &= np.isfinite(m).all(axis=(-2, -1))
+    _refuse(single, ~ok, SingularConicError, "pencil of the two conics is not finite")
+    lams = np.linalg.eigvals(np.where(ok[..., None, None], m, 0.0))
+    return np.where(ok[..., None], lams, np.nan)
 
 
 def _cross_matrix(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    x, y, z = np.moveaxis(v, -1, 0)
+    o = np.zeros_like(x)
+    return np.stack([np.stack(r, axis=-1) for r in ((o, -z, y), (z, o, -x), (-y, x, o))], axis=-2)
+
+
+def _pick(m: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
+    """Entry ``index`` of each element of ``m`` along ``axis``."""
+    index = index.reshape(index.shape + (1,) * (m.ndim - index.ndim))
+    return np.take_along_axis(m, index, axis).squeeze(axis)
 
 
 def split_degenerate_conic(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,51 +266,50 @@ def split_degenerate_conic(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``b`` must be proportional to ``g h^T + h g^T``.  The intersection point
     of the two lines is recovered from the adjugate (whose diagonal must be
     non-positive for a real line pair), then the rank-1 matrix
-    ``b + [z]_x = 2 g h^T`` yields the lines themselves.
+    ``b + [z]_x = 2 g h^T`` yields the lines themselves.  A complex line pair
+    raises ``WrongEigenvalueBranchError``; in a stack its lines are NaN.
     """
+    b = np.asarray(b, dtype=float)
     badj = adjugate(b)
-    diag = np.diagonal(badj)
-    k = int(np.argmax(np.abs(diag)))
-    scale = np.abs(badj).max()
-    if diag[k] > 1e-12 * scale or scale == 0.0:
-        raise WrongEigenvalueBranchError(
-            "adjugate diagonal is not non-positive: complex line pair"
-        )
-    if diag[k] < 0.0:
-        z = -badj[:, k] / np.sqrt(-diag[k])
-    else:
-        # Double line: the adjugate vanishes and b itself is already rank 1.
-        z = np.zeros(3)
+    diag = np.diagonal(badj, axis1=-2, axis2=-1)
+    k = np.argmax(np.abs(diag), axis=-1)
+    dk = _pick(diag, k, -1)
+    scale = np.abs(badj).max(axis=(-2, -1))
+    bad = (dk > 1e-12 * scale) | (scale == 0.0)
+    _refuse(b.ndim == 2, bad, WrongEigenvalueBranchError,
+            "adjugate diagonal is not non-positive: complex line pair")
+    # A double line has a vanishing adjugate, and b itself is already rank 1.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z = np.where((dk < 0.0)[..., None], -_pick(badj, k, -1) / np.sqrt(-dk)[..., None], 0.0)
     d = b + _cross_matrix(z)
-    i, j = np.unravel_index(np.argmax(np.abs(d)), d.shape)
-    g = d[:, j].copy()
-    h = d[i, :].copy()
-    return g, h
+    i, j = np.divmod(np.argmax(np.abs(d).reshape(d.shape[:-2] + (9,)), axis=-1), 3)
+    g, h = _pick(d, j, -1), _pick(d, i, -2)
+    return np.where(bad[..., None], np.nan, g), np.where(bad[..., None], np.nan, h)
 
 
 def line_between_conics(
     g: np.ndarray, h: np.ndarray, ai: np.ndarray, aj: np.ndarray
 ) -> np.ndarray:
-    """Pick whichever of ``g``, ``h`` strictly separates the two ellipse centers."""
-    centers = conic_center(np.array([ai, aj]))
-    if not np.isfinite(centers).all():
-        raise NotAnEllipseError("conic has no finite center")
-    ci, cj = np.append(centers, [[1.0], [1.0]], axis=1)
-
-    def separates(line: np.ndarray) -> bool:
-        si = line @ ci
-        sj = line @ cj
-        band = 1e-12 * np.linalg.norm(line)
-        if abs(si) <= band * np.linalg.norm(ci) or abs(sj) <= band * np.linalg.norm(cj):
-            return False
-        return (si > 0.0) != (sj > 0.0)
-
-    g_ok, h_ok = separates(g), separates(h)
-    if g_ok == h_ok:
-        raise AmbiguousSeparationError(
-            "neither or both lines separate the centers (overlapping input?)"
-        )
-    return g if g_ok else h
+    """Pick whichever of ``g``, ``h`` strictly separates the two ellipse
+    centers.  ``AmbiguousSeparationError`` when neither or both do, and
+    ``NotAnEllipseError`` for a conic without a center; NaN in a stack."""
+    g, h = np.asarray(g, dtype=float), np.asarray(h, dtype=float)
+    single = g.ndim == 1
+    centers = conic_center(np.stack([ai, aj], axis=-3))
+    bad = ~np.isfinite(centers).all(axis=(-2, -1))
+    _refuse(single, bad, NotAnEllipseError, "conic has no finite center")
+    c = np.concatenate([centers, np.ones(centers.shape[:-1] + (1,))], axis=-1)
+    lines = np.stack([g, h], axis=-2)
+    side = lines @ c.mT  # (..., line, center)
+    band = (1e-12 * np.linalg.norm(lines, axis=-1))[..., None]
+    band = band * np.linalg.norm(c, axis=-1)[..., None, :]
+    with np.errstate(invalid="ignore"):
+        clear = (np.abs(side) > band).all(axis=-1)
+        splits = clear & ((side[..., 0] > 0.0) != (side[..., 1] > 0.0))
+    bad |= splits[..., 0] == splits[..., 1]
+    _refuse(single, bad, AmbiguousSeparationError,
+            "neither or both lines separate the centers (overlapping input?)")
+    return np.where(bad[..., None], np.nan, np.where(splits[..., :1], g, h))
 
 
 def pencil_separating_line(ai: np.ndarray, aj: np.ndarray) -> np.ndarray:
@@ -299,23 +319,23 @@ def pencil_separating_line(ai: np.ndarray, aj: np.ndarray) -> np.ndarray:
     whose degenerate member splits into a real line pair, split it, and keep
     the line that separates the two centers.  A non-intersecting pair has
     exactly one real-line-pair branch; finding several means the ellipses
-    overlap, which is rejected rather than silently mis-resolved.
+    overlap, which is rejected rather than silently mis-resolved.  Every
+    branch of every element is split at once; where a single pair raises, a
+    stack gives a NaN line.
     """
+    ai, aj = np.asarray(ai, dtype=float), np.asarray(aj, dtype=float)
+    single = ai.ndim == 2
     lams = degenerate_pencil_eigenvalues(ai, aj)
-    real = [lam.real for lam in lams if abs(lam.imag) <= 1e-8 * (1.0 + abs(lam))]
-    if not real:
-        raise WrongEigenvalueBranchError("pencil has no real eigenvalue")
-    splits = []
-    for lam in sorted(real, key=abs, reverse=True):
-        bmat = lam * ai + aj
-        try:
-            splits.append(split_degenerate_conic(bmat))
-        except WrongEigenvalueBranchError:
-            continue
-    if not splits:
-        raise WrongEigenvalueBranchError("no pencil branch yields real lines")
-    if len(splits) > 1:
-        raise AmbiguousSeparationError(
-            "several real line-pair branches: conics intersect"
-        )
-    return line_between_conics(*splits[0], ai, aj)
+    real = np.abs(lams.imag) <= 1e-8 * (1.0 + np.abs(lams))
+    _refuse(single, ~real.any(axis=-1), WrongEigenvalueBranchError, "pencil has no real eigenvalue")
+    with np.errstate(invalid="ignore"):
+        branch = lams.real[..., None, None] * ai[..., None, :, :] + aj[..., None, :, :]
+    g, h = split_degenerate_conic(branch)
+    splits = real & ~np.isnan(g).any(axis=-1)
+    count = splits.sum(axis=-1)
+    _refuse(single, count == 0, WrongEigenvalueBranchError, "no pencil branch yields real lines")
+    _refuse(single, count > 1, AmbiguousSeparationError,
+            "several real line-pair branches: conics intersect")
+    first = np.argmax(splits, axis=-1)
+    line = line_between_conics(_pick(g, first, -2), _pick(h, first, -2), ai, aj)
+    return np.where((count == 1)[..., None], line, np.nan)

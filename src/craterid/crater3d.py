@@ -33,6 +33,7 @@ __all__ = [
 LUNAR_RADIUS_KM = 1737.4
 
 _POLE = np.array([0.0, 0.0, 1.0])
+_ID_FORBIDDEN = frozenset("\t\r\n")
 
 
 @dataclass(frozen=True)
@@ -55,13 +56,14 @@ class CraterRecord:
     def __post_init__(self):
         # The catalogue CSV strips cells and skips '#' rows; the index id
         # table is newline separated.
-        if self.id != self.id.strip() or self.id[:1] == "#" or set(self.id) & set("\t\r\n"):
+        padded = self.id != self.id.strip() or self.id[:1] == "#"
+        if padded or not _ID_FORBIDDEN.isdisjoint(self.id):
             raise ValueError(f"{self.id!r}: id has tab, CR, LF, a leading '#' or padding")
         if not all(map(math.isfinite, (self.lat, self.lon, self.a, self.b, self.psi))):
             raise ValueError(f"{self.id}: lat, lon, a, b and psi must be finite")
         if not (self.a >= self.b > 0.0):
             raise InvalidAxesError(f"{self.id}: need a >= b > 0, got {self.a}, {self.b}")
-        if abs(self.lat) > np.pi / 2.0:
+        if abs(self.lat) > math.pi / 2.0:
             raise ValueError(f"{self.id}: latitude out of range")
         if not (0.0 <= self.arc_fraction <= 1.0):
             raise ValueError(f"{self.id}: arc_fraction out of [0, 1]")

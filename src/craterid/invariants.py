@@ -13,6 +13,12 @@ Descriptors come in three conventions (ordered / sorted / p2); the p2 forms
 are additionally invariant to cyclic relabeling of the three craters.
 :func:`make_descriptor` gives the stored form of a catalogue triad and
 :func:`query_rotations` the query forms of an image triad.
+
+The kernels follow ``conic2d``'s stack rule: three single conics ``(3, 3)``
+give a vector, and three stacks ``(T, 3, 3)`` give one row per triad,
+``(T, 7)`` or ``(T, 3)``.  Where the single call raises, the row is NaN.
+:func:`make_descriptor` takes rows ``(T, d)`` and gives ``(values, r)``
+with ``r`` of shape ``(T,)``.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .conic2d import (
+    _refuse,
     adjugate,
     conic_center,
     conic_det,
@@ -47,71 +54,69 @@ __all__ = [
 
 _DET_TOL = 1e-9
 
-
-def _check_unit_det(conics: np.ndarray) -> None:
-    """Refuse a stack of conics unless every determinant is +1 to ``_DET_TOL``."""
-    if not np.all(np.abs(conic_det(conics) - 1.0) <= _DET_TOL):
-        raise NotNormalizedError("conic determinant differs from +1")
-
-
-def _condition_frame(conics: np.ndarray) -> np.ndarray:
-    """Re-express a stack of conics in a centered, unit-scale frame.
-
-    A similarity transform is a homography, so the invariants are untouched;
-    evaluating the traces near the origin at unit scale avoids the
-    cancellation that pixel-frame coordinates otherwise cause.
-    """
-    centers = conic_center(conics)
-    if not np.isfinite(centers).all():
-        raise NotAnEllipseError("conic has no finite center")
-    mid = np.mean(centers, axis=0)
-    spread = max(float(np.linalg.norm(c - mid)) for c in centers)
-    scale = max(spread, 1e-12)
-    t = np.array([[scale, 0.0, mid[0]], [0.0, scale, mid[1]], [0.0, 0.0, 1.0]])
-    out = normalize_unit_det(t.T @ conics @ t)
-    if np.isnan(out).any():
-        raise SingularConicError("cannot determinant-normalize a singular conic")
-    return out
+# Conic pairs (i, j), (j, k), (k, i), (j, i), (k, j), (i, k) of the pair
+# invariants trace(adj(first) @ second), then the triple invariant's
+# (adj(j + k) - adj(j - k), i); the adjugates are stacked i, j, k and then
+# adj(j + k) - adj(j - k).
+_ADJ = [0, 1, 2, 1, 2, 0, 3]
+_CONIC = [1, 2, 0, 0, 1, 2, 0]
 
 
 def coplanar_triad(ai: np.ndarray, aj: np.ndarray, ak: np.ndarray) -> np.ndarray:
     """``[I_ij, I_jk, I_ki, I_ji, I_kj, I_ik, I_ijk]`` of a determinant-normalized
-    coplanar triad (i, j, k)."""
-    triad = np.array([ai, aj, ak])
-    _check_unit_det(triad)
-    ai, aj, ak = _condition_frame(triad)
-    adj_i, adj_j, adj_k = adjugate(ai), adjugate(aj), adjugate(ak)
-    return np.array(
-        [
-            np.trace(adj_i @ aj),
-            np.trace(adj_j @ ak),
-            np.trace(adj_k @ ai),
-            np.trace(adj_j @ ai),
-            np.trace(adj_k @ aj),
-            np.trace(adj_i @ ak),
-            np.trace((adjugate(aj + ak) - adjugate(aj - ak)) @ ai),
-        ]
-    )
+    coplanar triad (i, j, k).
+
+    A conic whose determinant differs from +1 raises ``NotNormalizedError``,
+    one without a center ``NotAnEllipseError``.  The traces are evaluated in
+    a centered, unit-scale frame: a similarity transform is a homography, so
+    the invariants are untouched, and it avoids the cancellation that
+    pixel-frame coordinates otherwise cause.  A conic singular in that frame
+    raises ``SingularConicError``.
+    """
+    triad = np.array([ai, aj, ak])  # (3, ..., 3, 3): the member axis first
+    single = triad.ndim == 3
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        bad = ~(np.abs(conic_det(triad) - 1.0) <= _DET_TOL).all(axis=0)
+        _refuse(single, bad, NotNormalizedError, "conic determinant differs from +1")
+        centers = conic_center(triad)
+        bad |= ~np.isfinite(centers).all(axis=(0, -1))
+        _refuse(single, bad, NotAnEllipseError, "conic has no finite center")
+        mid = centers.mean(axis=0)
+        spread = np.linalg.norm(centers - mid, axis=-1).max(axis=0)
+        t = np.zeros(mid.shape[:-1] + (3, 3))
+        t[..., 0, 0] = t[..., 1, 1] = np.maximum(spread, 1e-12)
+        t[..., :2, 2] = mid
+        t[..., 2, 2] = 1.0
+        a = normalize_unit_det(t.mT @ triad @ t)
+        bad |= np.isnan(a).any(axis=(0, -2, -1))
+        _refuse(single, bad, SingularConicError, "cannot determinant-normalize a singular conic")
+        adj = adjugate(np.array([a[0], a[1], a[2], a[1] + a[2], a[1] - a[2]]))
+        adj = np.concatenate([adj[:3], adj[3:4] - adj[4:]])
+        out = np.einsum("p...ab,p...ba->...p", adj[_ADJ], a[_CONIC])
+    return out if single else np.where(bad[..., None], np.nan, out)
 
 
-def cayley_klein_distance(
-    envelope: np.ndarray, l1: np.ndarray, l2: np.ndarray
-) -> float:
+def cayley_klein_distance(envelope: np.ndarray, l1: np.ndarray, l2: np.ndarray):
     """Hyperbolic distance between two lines relative to a conic envelope.
 
     ``acosh`` of the normalized envelope bilinear form.  The absolute value
     makes the result independent of the arbitrary line and conic scales.
+    Line quadratic forms of mixed sign, or a ratio below 1 (overlapping
+    geometry), raise ``AcoshDomainError``; a stack ``(..., 3, 3)`` of
+    envelopes with lines ``(..., 3)`` gives NaN there.
     """
-    num = l1 @ envelope @ l2
-    d1 = l1 @ envelope @ l1
-    d2 = l2 @ envelope @ l2
-    den2 = d1 * d2
-    if den2 <= 0.0:
-        raise AcoshDomainError("line quadratic forms have mixed sign")
-    ratio = abs(num) / np.sqrt(den2)
-    if ratio < 1.0 - 1e-9:
-        raise AcoshDomainError(f"cosh ratio {ratio} below 1: overlapping geometry")
-    return float(np.arccosh(max(ratio, 1.0)))
+    l1, l2 = np.asarray(l1, dtype=float)[..., None, :], np.asarray(l2, dtype=float)[..., None, :]
+    single = l1.ndim == 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        num = (l1 @ envelope @ l2.mT)[..., 0, 0]
+        den2 = (l1 @ envelope @ l1.mT)[..., 0, 0] * (l2 @ envelope @ l2.mT)[..., 0, 0]
+        bad = ~(den2 > 0.0)
+        _refuse(single, bad, AcoshDomainError, "line quadratic forms have mixed sign")
+        ratio = np.abs(num) / np.sqrt(den2)
+        bad |= ~(ratio >= 1.0 - 1e-9)
+    _refuse(single, bad, AcoshDomainError, "cosh ratio below 1: overlapping geometry")
+    j = np.arccosh(np.where(bad, 1.0, np.maximum(ratio, 1.0)))
+    return float(j) if single else np.where(bad, np.nan, j)
 
 
 def noncoplanar_triad(ai: np.ndarray, aj: np.ndarray, ak: np.ndarray) -> np.ndarray:
@@ -119,18 +124,19 @@ def noncoplanar_triad(ai: np.ndarray, aj: np.ndarray, ak: np.ndarray) -> np.ndar
 
     The conics must be pairwise non-overlapping projections of rims lying on
     a common quadric surface.  Raises ``OverlapError`` when the separating
-    lines cannot be recovered.
+    lines cannot be recovered, ``AcoshDomainError`` when a distance is
+    undefined.  Every pair of every triad goes through one pencil solve.
     """
-    try:
-        l_ij = pencil_separating_line(ai, aj)
-        l_ik = pencil_separating_line(ai, ak)
-        l_jk = pencil_separating_line(aj, ak)
-    except Exception as exc:
-        raise OverlapError(f"cannot recover pair lines: {exc}") from exc
-    j_i = cayley_klein_distance(adjugate(ai), l_ij, l_ik)
-    j_j = cayley_klein_distance(adjugate(aj), l_ij, l_jk)
-    j_k = cayley_klein_distance(adjugate(ak), l_ik, l_jk)
-    return np.array([j_i, j_j, j_k])
+    triad = np.array([ai, aj, ak])  # (3, ..., 3, 3): the member axis first
+    single = triad.ndim == 3
+    # The lines l_ij, l_ik, l_jk.
+    lines = pencil_separating_line(triad[[0, 0, 1]], triad[[1, 2, 2]])
+    bad = np.isnan(lines).any(axis=(0, -1))
+    _refuse(single, bad, OverlapError, "cannot recover pair lines: conics overlap")
+    j = cayley_klein_distance(adjugate(triad), lines[[0, 0, 1]], lines[[1, 2, 2]])
+    bad = np.isnan(j).any(axis=0)
+    _refuse(single, bad, AcoshDomainError, "Cayley-Klein ratio outside the acosh domain")
+    return j if single else np.where(bad[..., None], np.nan, np.moveaxis(j, 0, -1))
 
 
 def _lex_min_rotation(x: float, y: float, z: float) -> tuple[float, float, float]:
@@ -202,7 +208,7 @@ def rotate_descriptor_values(values: np.ndarray, r: int | list[int]) -> np.ndarr
     return values[_ROTATIONS[r, : len(values)]]
 
 
-def make_descriptor(values: np.ndarray, convention: str) -> tuple[np.ndarray, int]:
+def make_descriptor(values: np.ndarray, convention: str) -> tuple[np.ndarray, int | np.ndarray]:
     """Stored descriptor of a catalogue triad with invariants ``values``, and
     the label rotation ``r``: the stored crater labels are the clockwise
     labels rotated ``r`` steps, ``ids[r:] + ids[:r]``.
@@ -212,23 +218,27 @@ def make_descriptor(values: np.ndarray, convention: str) -> tuple[np.ndarray, in
     the crater labels so the smallest of the first three invariants leads;
     p2 maps it to its cyclic-invariant form, ``F(J)`` for three elements and
     ``[F(t1), F1(t2), Gt(t1, t2), I_ijk]`` for seven.  Only sorted rotates.
+    Rows ``(T, d)`` give descriptors ``(T, d)`` and rotations ``(T,)``.
     """
     vec = np.array(values, dtype=float)
-    if vec.shape not in ((3,), (7,)):
+    if vec.ndim not in (1, 2) or vec.shape[-1] not in (3, 7):
         raise ValueError("invariants must have 3 or 7 elements")
     if not np.all(np.isfinite(vec)):
         raise ValueError("invariants must be finite")
-    if convention == "ordered":
-        return vec, 0
+    rows = vec.reshape(-1, vec.shape[-1])
+    r = np.zeros(len(rows), dtype=np.intp)
     if convention == "sorted":
-        r = int(np.argmin(vec[:3]))
-        return rotate_descriptor_values(vec, r), r
-    if convention == "p2":
-        if len(vec) == 3:
-            return np.array(cyclic_F(*vec)), 0
-        _, _, gt1, gt2 = pair_G(*vec[:6])
-        return np.array([*cyclic_F(*vec[:3]), cyclic_F(*vec[3:6])[0], gt1, gt2, vec[6]]), 0
-    raise ValueError(f"unknown convention {convention!r}")
+        r = np.argmin(rows[:, :3], axis=1)
+        rows = np.take_along_axis(rows, _ROTATIONS[r, : rows.shape[1]], axis=1)
+    elif convention == "p2" and rows.shape[1] == 3:
+        rows = np.array([cyclic_F(*row) for row in rows]).reshape(rows.shape)
+    elif convention == "p2":
+        rows = np.array(
+            [[*cyclic_F(*v[:3]), cyclic_F(*v[3:6])[0], *pair_G(*v[:6])[2:], v[6]] for v in rows]
+        ).reshape(rows.shape)
+    elif convention != "ordered":
+        raise ValueError(f"unknown convention {convention!r}")
+    return (rows, r) if vec.ndim == 2 else (rows[0], int(r[0]))
 
 
 def query_rotations(

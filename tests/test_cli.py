@@ -439,6 +439,12 @@ _NOISE_DETECTIONS = (
         ("identify", ["--threshold", "-1"], "threshold"),
         ("identify", ["--n-candidates", "0"], "--n-candidates"),
         ("identify", ["--max-triads", "0"], "--max-triads"),
+        ("build-index", ["--scale", "local", "--max-ellipticity", "nan"], "max_ellipticity"),
+        ("build-index", ["--scale", "local", "--min-arc-fraction", "5"], "min_arc_fraction"),
+        ("build-index", ["--scale", "local", "--d-min=-inf"], "d_min"),
+        ("build-index", ["--radius", "nan"], "--radius"),
+        ("build-index", ["--radius", "0"], "--radius"),
+        ("build-index", ["--radius", "inf"], "--radius"),
     ],
 )
 def test_option_values_never_end_in_a_traceback(

@@ -302,3 +302,26 @@ def test_exactly_one_real_branch_for_disjoint_pairs():
             if diag.max() <= 1e-12 * np.abs(adj).max() and diag.min() < 0:
                 real_branches += 1
         assert real_branches == 1
+
+
+def test_separating_line_stack_matches_single_calls():
+    # A stack of pairs gives each single call's line, and NaN where it raises.
+    rng = np.random.default_rng(9)
+    pairs = [_random_disjoint_pair(rng) for _ in range(30)]
+    ci = ellipse_to_conic(EllipseParams(2, 1.5, 0, 0))
+    pairs += [
+        (ci, ellipse_to_conic(EllipseParams(2, 1.5, 0, 0, np.pi / 2))),  # crossing
+        (np.diag([1.0, 1.0, 0.0]), ci),  # singular first conic
+        (ci, np.full((3, 3), np.nan)),
+    ]
+    stacked = pencil_separating_line(*np.array(pairs).swapaxes(0, 1))
+    raised = set()
+    for line, pair in zip(stacked, pairs):
+        try:
+            single = pencil_separating_line(*pair)
+        except (AmbiguousSeparationError, WrongEigenvalueBranchError, SingularConicError) as exc:
+            raised.add(type(exc))
+            assert np.isnan(line).all()
+            continue
+        assert np.array_equal(line, single)
+    assert raised == {AmbiguousSeparationError, SingularConicError}

@@ -243,6 +243,28 @@ def test_scale_validation():
         IndexScale("x", 3, 10.0, 30.0, 1.1, 0.9, "coplanar7", "rand")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("d_min", np.nan), ("d_min", -np.inf), ("d_max", np.nan), ("max_ellipticity", np.nan),
+        ("min_arc_fraction", np.nan), ("min_arc_fraction", 5.0), ("min_arc_fraction", -0.1),
+    ],
+)
+def test_scale_refuses_non_finite_and_out_of_range_fields(field, value):
+    # NaN and -inf would reach the index header as JSON that strict readers
+    # refuse; an arc fraction outside [0, 1] is no fraction.
+    fields = dict(name="x", k=3, d_min=10.0, d_max=30.0, max_ellipticity=1.1,
+                  min_arc_fraction=0.9, descriptor_kind="coplanar7", convention="ordered")
+    with pytest.raises(ValueError, match=field):
+        IndexScale(**(fields | {field: value}))
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1737.4])
+def test_build_refuses_a_bad_radius(patch_records, radius):
+    with pytest.raises(ValueError, match="radius"):
+        build_index(patch_records, PATCH_SCALE, radius=radius)
+
+
 # -- triad enumeration -----------------------------------------------------------
 
 

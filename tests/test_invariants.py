@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from craterid.camera import Intrinsics, look_at_pose, project_disk_quadric, projection_matrix
-from craterid.conic2d import EllipseParams, ellipse_to_conic, normalize_unit_det
-from craterid.errors import AcoshDomainError, NotNormalizedError, OverlapError
+from craterid.conic2d import EllipseParams, adjugate, ellipse_to_conic, normalize_unit_det
+from craterid.errors import (
+    AcoshDomainError,
+    NotAnEllipseError,
+    NotNormalizedError,
+    OverlapError,
+    SingularConicError,
+)
 from craterid.invariants import (
+    cayley_klein_distance,
     coplanar_triad,
     cyclic_F,
     make_descriptor,
@@ -398,3 +405,97 @@ def test_query_rotations_meet_the_stored_descriptor(convention, dim):
             assert len(maps) == 1
             key = None if convention == "p2" else maps[0]
             assert queries[key].tobytes() == stored.tobytes()
+
+
+# -- stacked kernels -----------------------------------------------------------
+
+
+def _check_stack_rows(kernel, triads, errors) -> set[type]:
+    """Each row of ``kernel`` on the stacked triads equals the single call
+    within 1e-12 of the row's largest value, or is NaN exactly where the
+    single call raises one of ``errors``; returns the classes raised."""
+    stacked = kernel(*np.array(triads).swapaxes(0, 1))
+    assert stacked.shape[0] == len(triads)
+    raised = set()
+    for row, triad in zip(stacked, triads):
+        try:
+            single = kernel(*triad)
+        except errors as exc:
+            raised.add(type(exc))
+            assert np.isnan(row).all()
+            continue
+        assert np.isfinite(row).all()
+        assert np.abs(row - single).max() <= 1e-12 * np.abs(single).max()
+    return raised
+
+
+def test_coplanar_stack_rows_match_single_calls():
+    rng = np.random.default_rng(13)
+    good = [[_norm_conic(random_ellipse(rng)) for _ in range(3)] for _ in range(20)]
+    c = good[0][0]
+    no_center = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])  # det +1
+    bad = [
+        [3.0 * c, c, c],  # determinant 27
+        [c, np.diag([1.0, 1.0, 0.0]), c],  # singular
+        [c, c, np.full((3, 3), np.nan)],
+        [c, no_center, c],
+    ]
+    # Good and bad rows mixed in one stack.
+    triads = good[:10] + bad + good[10:]
+    errors = (NotNormalizedError, NotAnEllipseError, SingularConicError)
+    raised = _check_stack_rows(coplanar_triad, triads, errors)
+    assert raised == {NotNormalizedError, NotAnEllipseError}
+
+
+def test_noncoplanar_stack_rows_match_single_calls():
+    rng = np.random.default_rng(14)
+    triads = []
+    for _ in range(10):
+        quads, axis = sphere_cap_triad(rng)
+        p = overhead_camera(rng, axis)
+        triads.append([project_disk_quadric(p, q) for q in quads])
+    c1 = ellipse_to_conic(EllipseParams(2, 1.5, 0, 0))
+    c3 = ellipse_to_conic(EllipseParams(1, 1, 8, 0))
+    triads.append([c1, ellipse_to_conic(EllipseParams(2, 1.5, 1, 0)), c3])  # overlapping pair
+    triads.append([c1, np.diag([1.0, 1.0, 0.0]), c3])  # singular
+    triads.append([c1, np.full((3, 3), np.nan), c3])
+    # Disjoint plane ellipses, not on one sphere: many of their line pairs
+    # have envelope forms of mixed sign.
+    for _ in range(40):
+        triads.append([ellipse_to_conic(random_ellipse(rng, span=12.0)) for _ in range(3)])
+    raised = _check_stack_rows(noncoplanar_triad, triads, (OverlapError, AcoshDomainError))
+    assert raised == {OverlapError, AcoshDomainError}
+
+
+def test_cayley_klein_stack_rows_match_single_calls():
+    # Envelope of the unit circle; x = 2 and y = 2 miss it, x = 0.5 and
+    # y = 0.5 cut it.
+    env = adjugate(np.diag([1.0, 1.0, -1.0]))
+    x2, y2, x05, y05 = np.array([[1, 0, -2], [0, 1, -2], [1, 0, -0.5], [0, 1, -0.5]], dtype=float)
+    pairs = [(x2, y2), (x2, x05), (x05, y05), (y2, x2)]
+    stacked = cayley_klein_distance(np.array([env] * 4), *np.array(pairs).swapaxes(0, 1))
+    with pytest.raises(AcoshDomainError, match="mixed sign"):
+        cayley_klein_distance(env, x2, x05)
+    with pytest.raises(AcoshDomainError, match="below 1"):
+        cayley_klein_distance(env, x05, y05)
+    assert np.isnan(stacked[1:3]).all()
+    expect = np.arccosh(4.0 / 3.0)  # |l1 E l2| / sqrt(l1 E l1 * l2 E l2) = 4 / 3
+    assert stacked[[0, 3]] == pytest.approx([expect, expect], rel=1e-15)
+    assert cayley_klein_distance(env, x2, y2) == stacked[0]
+
+
+@pytest.mark.parametrize("dim", [3, 7])
+@pytest.mark.parametrize("convention", ["ordered", "sorted", "p2"])
+def test_make_descriptor_stack_rows_match_single_calls(convention, dim):
+    rng = np.random.default_rng(15)
+    rows = rng.uniform(-60.0, 60.0, (50, dim))
+    rows[:5] = rows[:5, [0]]  # equal invariants: the p2 forms' zero branches
+    values, r = make_descriptor(rows, convention)
+    assert values.shape == rows.shape and r.shape == (50,)
+    for row, v, shift in zip(rows, values, r):
+        single, single_r = make_descriptor(row, convention)
+        assert v.tobytes() == single.tobytes() and shift == single_r
+    empty, r0 = make_descriptor(np.empty((0, dim)), convention)
+    assert empty.shape == (0, dim) and r0.shape == (0,)
+    with pytest.raises(ValueError):
+        make_descriptor(np.vstack([rows, np.full(dim, np.nan)]), convention)
